@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online serve-smoke
+.PHONY: ci fmt-check vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online serve-smoke
 
 # The full local gate: what should pass before every commit.
-ci: vet build race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online
+ci: fmt-check vet build race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online
 
 # Fail on incompatible changes to the public cliffguard package (removed or
 # altered exported declarations vs api/cliffguard.api). Intentional breaks:
@@ -18,6 +18,10 @@ api-baseline:
 	LC_ALL=C $(GO) run ./tools/apicheck . > api/cliffguard.api
 	LC_ALL=C $(GO) run ./tools/apicheck -routes > api/http.api
 	@echo "api/cliffguard.api + api/http.api refreshed; commit them together with the API change"
+
+# Fail when any Go file in the tree is not gofmt-formatted (lists them).
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -93,11 +97,11 @@ bench-portfolio:
 
 # Gate million-query scale: re-run the SCALE experiment (a 1M-statement log
 # streamed through the template-compressing ingestion, then the same
-# fixed-seed robust design under the pooled evaluator and the shard-fanout
-# evaluator at 1/2/4 shards) and require its deterministic compression
-# counters, the fold-identity bit, and the shard-equivalence bits to match
-# the checked-in benchmarks/BENCH_SCALE.json (ingest/design wall-clock and
-# memory are informational).
+# fixed-seed robust design at parallelism 1 and 2) and require its
+# deterministic compression counters, the fold-identity bit, and the
+# parallel-equivalence bit to match the checked-in
+# benchmarks/BENCH_SCALE.json (ingest/design wall-clock and memory are
+# informational).
 bench-scale:
 	@mkdir -p /tmp/cliffguard-bench-scale
 	$(GO) run ./cmd/benchrunner -experiment SCALE -bench-json /tmp/cliffguard-bench-scale > /dev/null

@@ -7,6 +7,16 @@ import (
 	"cliffguard"
 )
 
+// openEngine opens the spec's engine, failing the test on error.
+func openEngine(t *testing.T, spec cliffguard.EngineSpec) cliffguard.Engine {
+	t.Helper()
+	eng, err := cliffguard.OpenEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestPublicAPIRoundTrip walks the whole public surface: schema, parser,
 // workload, both engines, nominal designers, the designable filter, and the
 // CliffGuard guard itself.
@@ -37,8 +47,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	w := cliffguard.NewWorkload(q1, q2)
 
 	// Columnar engine path.
-	vdb := cliffguard.NewVertica(s)
-	nominal := cliffguard.NewVerticaDesigner(vdb, 64<<20)
+	vdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	nominal := vdb.NominalDesigner(64 << 20)
 	nd, err := nominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +83,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 
 	// Row-store engine path.
-	rdb := cliffguard.NewRowStore(s)
-	rnominal := cliffguard.NewRowStoreDesigner(rdb, 32<<20)
+	rdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineRowStore, Schema: s})
+	rnominal := rdb.NominalDesigner(32 << 20)
 	rrd, err := rnominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +112,13 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if cliffguard.NewSeparate(s).Distance(w, w) != 0 {
 		t.Fatal("separate self distance nonzero")
 	}
-	lm := cliffguard.NewLatencyMetric(s, 0.2, vdb.BaselineCost)
+	lm := cliffguard.NewLatencyMetric(s, 0.2, vdb.Unwrap().(*cliffguard.VerticaDB).BaselineCost)
 	if lm.Distance(w, w) != 0 {
 		t.Fatal("latency self distance nonzero")
 	}
 }
 
-// TestPublicAPIExecutors checks the data-backed engine constructors.
+// TestPublicAPIExecutors checks the data-backed engines.
 func TestPublicAPIExecutors(t *testing.T) {
 	s := cliffguard.Warehouse(1)
 	data := cliffguard.GenerateData(s, 10_000, 3)
@@ -119,12 +129,12 @@ func TestPublicAPIExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vdb := cliffguard.NewVerticaWithData(data)
+	vdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Data: data}).Unwrap().(*cliffguard.VerticaDB)
 	vres, err := vdb.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdb := cliffguard.NewRowStoreWithData(data)
+	rdb := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineRowStore, Data: data}).Unwrap().(*cliffguard.RowStoreDB)
 	rres, err := rdb.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +180,8 @@ func TestApproxEngineAPI(t *testing.T) {
 	}
 	w := cliffguard.NewWorkload(q)
 
-	db := cliffguard.NewApproxEngine(s)
-	nominal := cliffguard.NewSampleDesigner(db, 256<<20)
+	db := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineApprox, Schema: s})
+	nominal := db.NominalDesigner(256 << 20)
 	d, err := nominal.Design(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)

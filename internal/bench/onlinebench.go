@@ -250,9 +250,9 @@ func OnlineBench(set *wlgen.Set, gamma float64, seed int64) (*OnlineResult, erro
 		calls    uint64
 		warmHits uint64
 		ms       float64
-		gen      *evalcache.Generation
+		gen      *evalcache.Shared
 	}
-	repeat := func(warm *evalcache.Generation, export bool) (*repeatOut, error) {
+	repeat := func(warm *evalcache.Shared, export bool) (*repeatOut, error) {
 		db := vertsim.Open(s)
 		nominal := vertsim.NewDesigner(db, VerticaBudget)
 		metric := distance.NewEuclidean(s.NumColumns())

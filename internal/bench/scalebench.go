@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"cliffguard/internal/core"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/ingest"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/sample"
@@ -22,7 +22,7 @@ import (
 
 // SCALE experiment shape: a million-statement log streamed through the
 // template-compressing ingestion, then a robust design of the folded
-// workload at several shard counts. The log cycles the R1 first-month
+// workload at parallelism 1 and 2. The log cycles the R1 first-month
 // queries, so the distinct-template count — and with it every gated value —
 // is a pure function of the workload seed.
 const (
@@ -49,20 +49,7 @@ type ScaleResult struct {
 	Iterations    int  // robust-loop iterations actually run (all runs agree)
 
 	PooledCostCalls uint64 // evaluation-layer cost-model calls, pooled evaluator at parallelism 1
-	ShardCostCalls  uint64 // same, shard-fanout evaluator at 4 shards (private memos recost shared queries)
-
-	Shard1Match bool // shards=1 designs+traces bit-identical to pooled p=1
-	Shard2Match bool
-	Shard4Match bool
-
-	// Warm-shard satellite (informational: reported in the benchrunner Info
-	// block, not gated, so the BENCH_SCALE baseline needn't change shape): a
-	// second 4-shard run importing the pooled run's exported unit-cost
-	// generation. The shard-private memos pre-seed from the generation on
-	// first miss, so shared queries stop being re-costed once per shard.
-	WarmShardCostCalls uint64 // cost-model calls, 4 shards with warm-start import
-	WarmShardWarmHits  uint64 // unit costs served from the imported generation
-	WarmShardMatch     bool   // warm 4-shard designs+traces bit-identical to pooled
+	ParallelMatch   bool   // parallelism-2 designs+traces bit-identical to parallelism 1
 
 	// Wall-clock and memory (informational, never gated).
 	IngestMs    float64
@@ -103,9 +90,10 @@ func (ls *logStream) Read(p []byte) (int, error) {
 // scaleBenchLogLines-statement log (the set's first-month queries, cycled)
 // through the template-compressing ingestion, check the folded workload's
 // frequency vectors bit-match the expected weighted workload, then run the
-// same fixed-seed robust design with the pooled evaluator (parallelism 1)
-// and the shard-fanout evaluator at 1, 2, and 4 shards, requiring
-// bit-identical designs and traces throughout.
+// same fixed-seed robust design at parallelism 1 and 2, requiring
+// bit-identical designs and traces. The parallelism-2 run's cost-model call
+// count is not reported: concurrent misses on one key both call the model,
+// so it varies from run to run.
 func ScaleBench(set *wlgen.Set, gamma float64, seed int64) (*ScaleResult, error) {
 	s := set.Config.Schema
 	if len(set.Months) == 0 || set.Months[0].Len() == 0 {
@@ -180,97 +168,54 @@ func ScaleBench(set *wlgen.Set, gamma float64, seed int64) (*ScaleResult, error)
 	}
 	res.FoldIdentical = frozenEqual(folded, expected)
 
-	// Phase 2: the same robust design at pooled parallelism 1 (reference)
-	// and shard counts 1, 2, 4. Designs and traces must be bit-identical.
+	// Phase 2: the same robust design at parallelism 1 (reference) and 2.
+	// Designs and traces must be bit-identical.
 	type runOut struct {
-		design   *designer.Design
-		traces   []core.Trace
-		calls    uint64
-		warmHits uint64
-		ms       float64
-		gen      *evalcache.Generation
+		design *designer.Design
+		traces []core.Trace
+		calls  uint64
+		ms     float64
 	}
-	run := func(shards int, warm *evalcache.Generation, export bool) (*runOut, error) {
+	run := func(parallelism int) (*runOut, error) {
 		db := vertsim.Open(s)
 		nominal := vertsim.NewDesigner(db, VerticaBudget)
 		metric := distance.NewEuclidean(s.NumColumns())
 		sampler := sample.New(metric, sample.NewMutator(s))
 		counting := &countingCost{inner: db}
 		cg := core.New(nominal, counting, sampler, core.Options{
-			Gamma:            gamma,
-			Samples:          scaleBenchSamples,
-			Iterations:       scaleBenchIterations,
-			Seed:             seed,
-			Parallelism:      1,
-			Shards:           shards,
-			WarmStart:        warm,
-			ExportGeneration: export,
+			Gamma:       gamma,
+			Samples:     scaleBenchSamples,
+			Iterations:  scaleBenchIterations,
+			Seed:        seed,
+			Parallelism: parallelism,
 		})
 		target := folded.Clone()
 		start := time.Now()
-		h := cg.Start(context.Background(), target)
-		d, traces, err := h.Await(context.Background())
+		d, traces, err := cg.DesignWithTrace(context.Background(), target)
 		if err != nil {
 			return nil, err
 		}
 		return &runOut{
 			design: d, traces: traces,
-			calls:    counting.calls.Load(),
-			warmHits: h.Stats().WarmHits,
-			ms:       float64(time.Since(start).Microseconds()) / 1000,
-			gen:      h.Generation(),
+			calls: counting.calls.Load(),
+			ms:    float64(time.Since(start).Microseconds()) / 1000,
 		}, nil
 	}
-	pooled, err := run(0, nil, true)
+	ref, err := run(1)
 	if err != nil {
-		return nil, fmt.Errorf("bench: scale pooled run: %w", err)
+		return nil, fmt.Errorf("bench: scale run at parallelism 1: %w", err)
 	}
-	res.Iterations = len(pooled.traces)
-	res.PooledCostCalls = pooled.calls
-	res.DesignMs = pooled.ms
+	res.Iterations = len(ref.traces)
+	res.PooledCostCalls = ref.calls
+	res.DesignMs = ref.ms
 
-	match := func(o *runOut) bool {
-		if o.design.Fingerprint() != pooled.design.Fingerprint() ||
-			o.design.String() != pooled.design.String() ||
-			len(o.traces) != len(pooled.traces) {
-			return false
-		}
-		for i := range o.traces {
-			if o.traces[i] != pooled.traces[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, sh := range []int{1, 2, 4} {
-		o, err := run(sh, nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale run at %d shards: %w", sh, err)
-		}
-		switch sh {
-		case 1:
-			res.Shard1Match = match(o)
-		case 2:
-			res.Shard2Match = match(o)
-		case 4:
-			res.Shard4Match = match(o)
-			res.ShardCostCalls = o.calls
-		}
-	}
-
-	// Warm-shard pass: re-run the 4-shard configuration with the pooled run's
-	// exported generation imported. Every unit cost the pooled run scored is
-	// available to every shard's private memo by content hash, so the cold
-	// run's per-shard re-costing of shared queries collapses to memo hits —
-	// while the trajectory stays bit-identical (imported values are the exact
-	// model outputs).
-	warm, err := run(4, pooled.gen, false)
+	par, err := run(2)
 	if err != nil {
-		return nil, fmt.Errorf("bench: scale warm 4-shard run: %w", err)
+		return nil, fmt.Errorf("bench: scale run at parallelism 2: %w", err)
 	}
-	res.WarmShardCostCalls = warm.calls
-	res.WarmShardWarmHits = warm.warmHits
-	res.WarmShardMatch = match(warm)
+	res.ParallelMatch = par.design.Fingerprint() == ref.design.Fingerprint() &&
+		par.design.String() == ref.design.String() &&
+		slices.Equal(par.traces, ref.traces)
 	return res, nil
 }
 

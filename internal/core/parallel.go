@@ -99,8 +99,8 @@ func (cg *CliffGuard) workers(n int) int {
 // the input regardless of completion order. iter and phase tag the emitted
 // NeighborEvaluated events (iter is -1 for the pre-loop initial scan).
 // units, when non-nil, memoizes unit costs under d's fingerprint (the
-// sharded cache is safe for the pool's concurrent workers); nil keeps the
-// legacy call-the-model-every-time behavior.
+// lock-striped cache is safe for the pool's concurrent workers); nil keeps
+// the legacy call-the-model-every-time behavior.
 func (cg *CliffGuard) evalNeighborhood(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string, units *evalcache.Cache) []evalResult {
 	fp := d.Fingerprint()
 	res := make([]evalResult, len(neighborhood))

@@ -33,7 +33,7 @@ type RunStats struct {
 	// strictly improving moves.
 	FinalWorst float64
 	// WarmHits counts evaluation-layer unit costs served from the imported
-	// Options.WarmStart generation (summed across shard memos).
+	// Options.WarmStart generation.
 	WarmHits uint64
 }
 
@@ -69,7 +69,7 @@ type RunHandle struct {
 	design *designer.Design
 	traces []Trace
 	stats  RunStats
-	gen    *evalcache.Generation
+	gen    *evalcache.Shared
 	err    error
 }
 
@@ -91,7 +91,7 @@ func (cg *CliffGuard) Start(ctx context.Context, w0 *workload.Workload) *RunHand
 	return h
 }
 
-func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, gen *evalcache.Generation, err error) {
+func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, gen *evalcache.Shared, err error) {
 	h.mu.Lock()
 	h.design, h.traces, h.stats, h.gen, h.err = d, traces, stats, gen, err
 	switch {
@@ -154,7 +154,7 @@ func (h *RunHandle) Stats() RunStats {
 // Generation returns the run's exported unit-cost generation — the warm-start
 // handoff for the next run over an overlapping workload. nil unless
 // Options.ExportGeneration was set and the run finished successfully.
-func (h *RunHandle) Generation() *evalcache.Generation {
+func (h *RunHandle) Generation() *evalcache.Shared {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.gen

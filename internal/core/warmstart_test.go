@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -94,6 +95,52 @@ func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 	}
 	if warmStats.FinalWorst != coldStats.FinalWorst || warmStats.NominalWorst != coldStats.NominalWorst {
 		t.Errorf("stats differ: cold %+v vs warm %+v", coldStats, warmStats)
+	}
+}
+
+// TestWarmStartConcurrentImport shares one exported memo between two warm
+// runs at Parallelism 4 that execute at the same time, so the memo's lookups
+// and hit counters are hit from many evaluator goroutines at once (run under
+// -race). Both runs must still reproduce the cold design and traces with no
+// cost-model calls.
+func TestWarmStartConcurrentImport(t *testing.T) {
+	s := testSchema()
+	rng := rand.New(rand.NewSource(3))
+	w := testWorkload(s, rng, 10)
+	base := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
+
+	cold := base
+	cold.ExportGeneration = true
+	cg, _ := newTallyGuard(s, cold)
+	h := cg.Start(context.Background(), w.Clone())
+	coldD, coldTraces, err := h.Await(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := base
+	warm.Parallelism = 4
+	warm.WarmStart = h.Generation()
+	type out struct {
+		h     *RunHandle
+		calls *tallyCost
+	}
+	runs := make([]out, 2)
+	for i := range runs {
+		cg, counting := newTallyGuard(s, warm)
+		runs[i] = out{cg.Start(context.Background(), w.Clone()), counting}
+	}
+	for i, r := range runs {
+		d, traces, err := r.h.Await(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Fingerprint() != coldD.Fingerprint() || !slices.Equal(traces, coldTraces) {
+			t.Errorf("warm run %d diverged from cold", i)
+		}
+		if got := r.calls.calls.Load(); got != 0 {
+			t.Errorf("warm run %d made %d cost-model calls, want 0", i, got)
+		}
 	}
 }
 

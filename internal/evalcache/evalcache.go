@@ -1,21 +1,29 @@
-// Package evalcache provides a sharded (lock-striped) memoization cache for
-// per-(query, design-fingerprint) unit costs — the evaluation-layer analogue
-// of internal/costcache. CliffGuard's workload cost f(W, D) is linear in the
-// item weights (a weighted mean of per-query what-if costs), so once every
-// query of a neighborhood has been costed under a design fingerprint, every
-// further workload evaluation under that design is a pure dot product with
-// zero cost-model calls.
+// Package evalcache memoizes the evaluation layer's one pure function: the
+// unit cost of a query under a design. CliffGuard's workload cost f(W, D) is
+// linear in the item weights (a weighted mean of per-query what-if costs), so
+// once every query of a neighborhood has been costed under a design
+// fingerprint, every further workload evaluation under that design is a pure
+// dot product with zero cost-model calls.
 //
-// The striping mirrors costcache: shards are selected by mixing the query ID
-// with the design fingerprint, so the parallel evaluator's goroutines almost
-// always take different locks. Values are pure functions of their key (the
-// cost models are deterministic), which is why concurrent misses on the same
-// key may compute redundantly and both store the same number.
+// Two memo types share one lock-striped layout:
 //
-// Memory is bounded by two-generation eviction: after each robust-loop
-// iteration the caller calls Retain with the incumbent and candidate design
-// fingerprints, dropping every unit cost memoized under a design the loop
-// can no longer revisit.
+//   - Cache is the per-run memo, keyed by (query pointer, design
+//     fingerprint) — the fastest identity inside one process-local run. Its
+//     memory is bounded by two-generation eviction: after each robust-loop
+//     iteration the caller calls Retain with the incumbent and candidate
+//     design fingerprints.
+//   - Shared is the content-keyed memo, keyed by (cost-model class, query
+//     ContentHash, design fingerprint). It is both the cross-tenant memo the
+//     serving layer installs beneath every tenant's runs and the cross-run
+//     warm-start handoff: a finished run exports its Cache into a Shared
+//     (ExportInto, Class 0) and the next run installs it as its Cache's
+//     fallback (SetWarm).
+//
+// Stripes are selected by mixing the query identity with the design
+// fingerprint, so the parallel evaluator's goroutines almost always take
+// different locks. Values are pure functions of their key (the cost models
+// are deterministic), which is why concurrent misses on the same key may
+// compute redundantly and both store the same number.
 package evalcache
 
 import (
@@ -59,12 +67,12 @@ type shard struct {
 type Cache struct {
 	shards [numShards]shard
 
-	// Cross-run warm start (see generation.go): an optional content-keyed
-	// fallback generation consulted on shard misses, a tally of lookups it
-	// served, and a per-query-pointer ContentHash memo shared by the warm
-	// path and ExportInto. warm is written once by SetWarm before the cache
-	// is shared; the rest are concurrency-safe.
-	warm     *Generation
+	// Cross-run warm start: an optional content-keyed fallback memo
+	// consulted on shard misses, a tally of lookups it served, and a
+	// per-query-pointer ContentHash memo shared by the warm path and
+	// ExportInto. warm is written once by SetWarm before the cache is
+	// shared; the rest are concurrency-safe.
+	warm     *Shared
 	warmHits atomic.Uint64
 	hashes   sync.Map // *workload.Query -> uint64
 }
@@ -91,16 +99,16 @@ func (c *Cache) shardFor(q *workload.Query, fp uint64) *shard {
 // Lookup returns the memoized unit cost of q under the design with
 // fingerprint fp, if present. unsupported reports a memoized
 // designer.ErrUnsupported verdict (cost is 0 in that case). With a warm
-// generation installed (SetWarm), a shard miss falls back to the
-// content-keyed generation; a hit there is promoted into the shard and
-// counted as a hit (it IS a memo hit — from the previous run's memo).
+// memo installed (SetWarm), a shard miss falls back to it under the query's
+// content key; a hit there is promoted into the shard and counted as a hit
+// (it IS a memo hit — from the previous run's memo).
 func (c *Cache) Lookup(q *workload.Query, fp uint64) (cost float64, unsupported, ok bool) {
 	s := c.shardFor(q, fp)
 	s.mu.RLock()
 	e, ok := s.m[cacheKey{q, fp}]
 	s.mu.RUnlock()
 	if !ok && c.warm != nil {
-		if wc, wu, wok := c.warm.Lookup(GenerationKey{Query: c.contentHash(q), Design: fp}); wok {
+		if wc, wu, wok := c.warm.Lookup(SharedKey{Query: c.contentHash(q), Design: fp}); wok {
 			e, ok = entry{cost: wc, unsupported: wu}, true
 			s.mu.Lock()
 			s.m[cacheKey{q, fp}] = e
@@ -179,4 +187,51 @@ func (c *Cache) Stats() obs.CacheStats {
 		out.Entries += sh.Entries
 	}
 	return out
+}
+
+// SetWarm installs warm as the cache's read-only fallback: a Lookup that
+// misses the pointer-keyed shard consults warm under the key (Class 0,
+// ContentHash, fingerprint), and a hit there is promoted into the shard (so
+// the hash is computed at most once per pair) and tallied in WarmHits. Call
+// before the cache is shared across goroutines; nil disables the fallback.
+//
+// Warm hits count as cache hits in Stats — they are memo hits, just served
+// from the previous run's memo — which is exactly what makes a warm
+// re-design's evaluation passes skip the cost model. The warm memo must come
+// from a run against the same cost model: its values are served unchecked.
+func (c *Cache) SetWarm(warm *Shared) { c.warm = warm }
+
+// WarmHits returns how many lookups were served from the warm memo.
+func (c *Cache) WarmHits() uint64 { return c.warmHits.Load() }
+
+// contentHash memoizes workload.ContentHash by query pointer: the hash walks
+// the full query spec, and warm lookups and exports revisit the same queries
+// many times over.
+func (c *Cache) contentHash(q *workload.Query) uint64 {
+	if v, ok := c.hashes.Load(q); ok {
+		return v.(uint64)
+	}
+	h := workload.ContentHash(q)
+	c.hashes.Store(q, h)
+	return h
+}
+
+// ExportInto copies every memoized pair into dst under its content key
+// (Class 0). Entries already present are overwritten — values are pure
+// functions of their key, so a duplicate export writes the identical entry.
+// The run loop exports before each Retain eviction plus once at run end, so
+// dst covers every design fingerprint the run ever scored, not just the two
+// the final cache retains. A nil dst is a no-op.
+func (c *Cache) ExportInto(dst *Shared) {
+	if dst == nil {
+		return
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		for k, e := range s.m {
+			dst.Store(SharedKey{Query: c.contentHash(k.q), Design: k.fp}, e.cost, e.unsupported)
+		}
+		s.mu.RUnlock()
+	}
 }

@@ -7,6 +7,14 @@ import (
 	"cliffguard/internal/workload"
 )
 
+// Test aliases mirroring the cliffguard facade's public EvalGeneration and
+// EvalGenerationKey: TestNilGenerationIsInert pins that a nil warm-start
+// memo is empty and inert under those names.
+type (
+	Generation    = Shared
+	GenerationKey = SharedKey
+)
+
 // genQuery builds a small query whose content differs per col, with its own
 // fresh pointer each call — the cross-run situation the generation handoff
 // exists for (same content, different *Query identity).
@@ -27,7 +35,7 @@ func TestGenerationExportAndWarmLookup(t *testing.T) {
 	src.Store(q0, 200, 2.5, false)
 	src.Store(q1, 100, 0, true) // memoized unsupported verdict
 
-	gen := NewGeneration()
+	gen := NewShared()
 	src.ExportInto(gen)
 	if gen.Len() != 3 {
 		t.Fatalf("generation holds %d pairs, want 3", gen.Len())
@@ -70,7 +78,7 @@ func TestGenerationExportAndWarmLookup(t *testing.T) {
 }
 
 func TestWarmLookupMissesUnknownPairs(t *testing.T) {
-	gen := NewGeneration()
+	gen := NewShared()
 	src := New()
 	src.Store(genQuery(0), 100, 1, false)
 	src.ExportInto(gen)
@@ -91,7 +99,7 @@ func TestWarmLookupMissesUnknownPairs(t *testing.T) {
 }
 
 func TestExportOverwriteIsIdempotent(t *testing.T) {
-	gen := NewGeneration()
+	gen := NewShared()
 	src := New()
 	q := genQuery(2)
 	src.Store(q, 100, 3.25, false)
@@ -100,7 +108,7 @@ func TestExportOverwriteIsIdempotent(t *testing.T) {
 	if gen.Len() != 1 {
 		t.Fatalf("generation holds %d pairs after duplicate export, want 1", gen.Len())
 	}
-	cost, _, ok := gen.Lookup(GenerationKey{Query: workload.ContentHash(q), Design: 100})
+	cost, _, ok := gen.Lookup(SharedKey{Query: workload.ContentHash(q), Design: 100})
 	if !ok || cost != 3.25 {
 		t.Fatalf("lookup = (%g, %v), want (3.25, true)", cost, ok)
 	}

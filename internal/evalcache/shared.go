@@ -7,22 +7,23 @@ import (
 	"cliffguard/internal/obs"
 )
 
-// SharedKey identifies one memoized unit cost in the cross-tenant shared
-// memo. Unlike the per-run Cache (which keys by query *pointer* — the fastest
-// possible identity inside one process-local run), the shared memo keys by
-// content:
+// SharedKey identifies one memoized unit cost by content. Unlike the
+// per-run Cache (which keys by query *pointer*), a SharedKey is valid across
+// runs, sessions and tenants:
 //
 //   - Class is the engine's cost-model class fingerprint (engine kind +
 //     schema): two tenants share entries only when their cost models are
-//     interchangeable pure functions.
+//     interchangeable pure functions. The warm-start handoff between runs of
+//     one cost model uses Class 0.
 //   - Query is workload.ContentHash of the query — identical SQL parsed by
-//     two different tenants hashes identically even though the Query pointers
-//     and IDs differ.
+//     two different tenants or ingestions hashes identically even though
+//     the Query pointers and IDs differ.
 //   - Design is the design fingerprint (designer.Design.Fingerprint).
 //
 // A value is therefore valid for every (tenant, run) whose engine class,
 // query content, and design coincide — which is what turns the second tenant
-// submitting a popular workload into a warm-cache run.
+// submitting a popular workload, or the next re-design over an overlapping
+// window, into a warm-cache run.
 type SharedKey struct {
 	Class  uint64
 	Query  uint64
@@ -36,15 +37,17 @@ type sharedShard struct {
 	misses atomic.Uint64
 }
 
-// Shared is the cross-tenant unit-cost memo: the serving layer installs one
-// per process and consults it beneath every tenant's per-run Cache. It uses
-// the same 64-way lock striping as Cache; values are pure functions of their
-// key, so concurrent redundant computation is benign.
+// Shared is the content-keyed unit-cost memo. It serves two roles with one
+// type: the serving layer installs one per process beneath every tenant's
+// runs (the cross-tenant memo), and a finished run exports its per-run Cache
+// into one for the next run to import (the warm-start handoff, see
+// Cache.ExportInto and Cache.SetWarm). It uses the same 64-way lock striping
+// as Cache; values are pure functions of their key, so concurrent redundant
+// computation is benign.
 //
-// Unlike the per-run Cache there is no generational eviction — entries are
-// evicted by design-fingerprint retirement (RetireDesigns) when the serving
-// layer decides a design can no longer recur, or by Reset. The entry count is
-// bounded in practice by |distinct designs seen| x |distinct queries|.
+// There is no eviction short of Reset: the entry count is bounded by
+// |distinct designs seen| x |distinct queries|. A nil *Shared is an empty,
+// read-only memo: Len and Lookup work on it.
 type Shared struct {
 	shards [numShards]sharedShard
 }
@@ -70,6 +73,9 @@ func (s *Shared) shardFor(k SharedKey) *sharedShard {
 // Lookup returns the memoized unit cost for the key, if present. unsupported
 // reports a memoized designer.ErrUnsupported verdict (cost is 0 then).
 func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
+	if s == nil {
+		return 0, false, false
+	}
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	e, ok := sh.m[k]
@@ -91,26 +97,6 @@ func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
 	sh.mu.Unlock()
 }
 
-// RetireDesigns drops every entry memoized under one of the given design
-// fingerprints (any class). The serving layer may call it when tenants are
-// deleted; correctness never depends on it.
-func (s *Shared) RetireDesigns(fps ...uint64) {
-	drop := make(map[uint64]bool, len(fps))
-	for _, fp := range fps {
-		drop[fp] = true
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			if drop[k.Design] {
-				delete(sh.m, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Reset drops every entry (hit/miss tallies are kept; they are counters).
 func (s *Shared) Reset() {
 	for i := range s.shards {
@@ -123,6 +109,9 @@ func (s *Shared) Reset() {
 
 // Len returns the total number of memoized entries.
 func (s *Shared) Len() int {
+	if s == nil {
+		return 0
+	}
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]

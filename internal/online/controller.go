@@ -108,8 +108,8 @@ type Result struct {
 	SafetyRejected bool
 	// IncumbentWorst and CandidateWorst are the worst-case costs the safety
 	// rule compared (NaN when there was no incumbent to compare against).
-	IncumbentWorst  float64
-	CandidateWorst  float64
+	IncumbentWorst float64
+	CandidateWorst float64
 	// WarmHits counts evaluation-layer unit costs the run served from the
 	// previous run's generation instead of the cost model.
 	WarmHits uint64
@@ -143,7 +143,7 @@ type Controller struct {
 	mu            sync.Mutex
 	incumbent     *designer.Design
 	designedAt    *workload.Workload // snapshot the incumbent was designed for
-	handoff       *evalcache.Generation
+	handoff       *evalcache.Shared
 	lastDelta     float64
 	lastThreshold float64
 	lastResult    *Result
@@ -195,9 +195,9 @@ func (c *Controller) Incumbent() *designer.Design {
 	return c.incumbent
 }
 
-// Handoff returns the current warm-start generation — the latest completed
-// run's exported unit-cost memo (nil before the first run).
-func (c *Controller) Handoff() *evalcache.Generation {
+// Handoff returns the current warm-start memo — the latest completed run's
+// exported unit costs (nil before the first run).
+func (c *Controller) Handoff() *evalcache.Shared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.handoff

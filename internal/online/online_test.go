@@ -61,7 +61,9 @@ func (c *countCost) Cost(ctx context.Context, q *workload.Query, d *designer.Des
 }
 
 // swapDesigner lets a test exchange the nominal designer between re-designs.
-type swapDesigner struct{ inner atomic.Pointer[designer.Designer] }
+type swapDesigner struct {
+	inner atomic.Pointer[designer.Designer]
+}
 
 func newSwapDesigner(d designer.Designer) *swapDesigner {
 	sd := &swapDesigner{}

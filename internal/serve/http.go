@@ -15,8 +15,8 @@ import (
 type Route struct {
 	Method   string `json:"method"`
 	Pattern  string `json:"pattern"`
-	Request  string `json:"request,omitempty"`  // request body type ("" = none, "SQL" = text/plain workload)
-	Response string `json:"response"`           // success-envelope data type (or a stream name)
+	Request  string `json:"request,omitempty"` // request body type ("" = none, "SQL" = text/plain workload)
+	Response string `json:"response"`          // success-envelope data type (or a stream name)
 	handler  func(s *Server, w http.ResponseWriter, r *http.Request) error
 }
 

@@ -106,12 +106,12 @@ type ObserveInfo struct {
 // rule's verdict plus the candidate design. Worst-case fields are omitted
 // when the rule had nothing to compare (bootstrap).
 type OnlineRedesignInfo struct {
-	Published      bool    `json:"published"`
-	SafetyRejected bool    `json:"safety_rejected,omitempty"`
-	IncumbentWorst float64 `json:"incumbent_worst,omitempty"`
-	CandidateWorst float64 `json:"candidate_worst,omitempty"`
-	WarmHits       uint64  `json:"warm_hits,omitempty"`
-	Iterations     int     `json:"iterations"`
+	Published      bool       `json:"published"`
+	SafetyRejected bool       `json:"safety_rejected,omitempty"`
+	IncumbentWorst float64    `json:"incumbent_worst,omitempty"`
+	CandidateWorst float64    `json:"candidate_worst,omitempty"`
+	WarmHits       uint64     `json:"warm_hits,omitempty"`
+	Iterations     int        `json:"iterations"`
 	Design         DesignInfo `json:"design"`
 }
 

@@ -261,6 +261,31 @@ func TestServerRoundTripMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestRunRequestRejectsShards: the run decoder is strict, so a body carrying
+// "shards" (a field RunRequest no longer declares, which older clients may
+// still send) is a 400 naming the field, not a silently ignored knob.
+func TestRunRequestRejectsShards(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	if code, env := call(t, client, "POST", ts.URL+"/v1/tenants", "application/json",
+		`{"id":"acme","engine":{"kind":"rowstore"}}`); code != http.StatusCreated {
+		t.Fatalf("create tenant: %d %+v", code, env.Error)
+	}
+	if code, env := call(t, client, "POST", ts.URL+"/v1/tenants/acme/workload", "text/plain", testSQL(t)); code != http.StatusOK {
+		t.Fatalf("post workload: %d %+v", code, env.Error)
+	}
+	code, env := call(t, client, "POST", ts.URL+"/v1/tenants/acme/runs", "application/json",
+		`{"gamma":0.0008,"samples":8,"seed":7,"shards":4}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("submit with shards: status %d, want %d", code, http.StatusBadRequest)
+	}
+	if env.Error == nil || env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, `"shards"`) {
+		t.Fatalf("submit with shards: error %+v, want a bad_request naming \"shards\"", env.Error)
+	}
+}
+
 // Two tenants with identical workloads must warm each other's runs through
 // the shared unit-cost memo — and still produce identical designs.
 func TestCrossTenantSharedCacheHits(t *testing.T) {

@@ -134,7 +134,6 @@ type RunRequest struct {
 	Iterations    int      `json:"iterations,omitempty"`
 	Seed          int64    `json:"seed,omitempty"`
 	Parallelism   int      `json:"parallelism,omitempty"`
-	Shards        int      `json:"shards,omitempty"`
 	TopFraction   float64  `json:"top_fraction,omitempty"`
 	Metric        string   `json:"metric,omitempty"`
 	Designers     []string `json:"designers,omitempty"`
@@ -164,7 +163,7 @@ func (r RunRequest) Options() core.Options {
 	}
 	return core.Options{
 		Gamma: r.Gamma, Samples: r.Samples, Iterations: r.Iterations,
-		Seed: r.Seed, Parallelism: r.Parallelism, Shards: r.Shards,
+		Seed: r.Seed, Parallelism: r.Parallelism,
 		TopFraction: r.TopFraction, MemberTimeout: mt,
 	}
 }

@@ -42,13 +42,14 @@ type (
 	// the initial competitors and the returned design, warm-start hits) —
 	// what the safety rule reads off a seeded run.
 	RunStats = core.RunStats
-	// EvalGeneration is a completed run's content-keyed unit-cost export:
-	// the warm-start handoff imported by Options.WarmStart. Values are the
-	// exact cost-model outputs, so warm runs are bit-identical to cold ones.
-	EvalGeneration = evalcache.Generation
-	// EvalGenerationKey identifies one exported unit cost (query content
-	// hash, design fingerprint).
-	EvalGenerationKey = evalcache.GenerationKey
+	// EvalGeneration is the content-keyed unit-cost memo (evalcache.Shared)
+	// in its warm-start role: a completed run's export, imported by
+	// Options.WarmStart. Values are the exact cost-model outputs, so warm
+	// runs are bit-identical to cold ones. A nil *EvalGeneration is empty.
+	EvalGeneration = evalcache.Shared
+	// EvalGenerationKey identifies one memoized unit cost (cost-model class,
+	// query content hash, design fingerprint); run exports use Class 0.
+	EvalGenerationKey = evalcache.SharedKey
 )
 
 // ErrRedesignInProgress is returned by OnlineController.Redesign while a
@@ -66,7 +67,7 @@ func NewOnlineController(cfg OnlineConfig) (*OnlineController, error) {
 	return online.New(cfg)
 }
 
-// NewEvalGeneration returns an empty unit-cost generation (use it to build a
-// warm-start handoff by hand; runs with Options.ExportGeneration produce
-// them automatically).
-func NewEvalGeneration() *EvalGeneration { return evalcache.NewGeneration() }
+// NewEvalGeneration returns an empty content-keyed unit-cost memo (use it to
+// build a warm-start handoff by hand; runs with Options.ExportGeneration
+// produce them automatically).
+func NewEvalGeneration() *EvalGeneration { return evalcache.NewShared() }

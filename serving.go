@@ -11,9 +11,9 @@ import (
 )
 
 // The engine facade: one spec-driven constructor for every engine simulator.
-// OpenEngine(EngineSpec{Kind: "rowstore"}) replaces the historical
-// per-engine constructor pairs (NewVertica/NewVerticaWithData, ...), which
-// remain as thin deprecated wrappers over it.
+// OpenEngine(EngineSpec{Kind: "rowstore"}) opens any of them; the engine's
+// NominalDesigner is its native designer, and Unwrap reaches the simulator's
+// engine-specific surface (executors, tuning knobs).
 type (
 	// EngineSpec declares which engine to open (kind, scale, optional
 	// explicit schema or dataset). The zero Kind means "vertica".
