@@ -38,11 +38,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz of the SQL parser, the JSONL stream decoders, and the ILP
-# solver's brute-force cross-check, on top of the checked-in corpora (go's
+# Short fuzz of the SQL and DDL parsers, the JSONL stream decoders, and the
+# ILP solver's brute-force cross-check, on top of the checked-in corpora (go's
 # -fuzz takes one target per invocation).
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sqlparse/
+	$(GO) test -fuzz=FuzzParseSchema -fuzztime=5s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/

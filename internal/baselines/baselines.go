@@ -14,12 +14,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/ilp"
+	"cliffguard/internal/portfolio"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/workload"
 )
@@ -123,16 +122,15 @@ func (m *MajorityVote) Design(ctx context.Context, w *workload.Workload) (*desig
 	return out, nil
 }
 
-// CandidateProvider is implemented by nominal designers that can expose
-// their candidate structure pool (both engine designers do); the
-// OptimalLocalSearch baseline requires it.
-type CandidateProvider interface {
-	Candidates(w *workload.Workload) []designer.Structure
-}
+// CandidateProvider is designer.CandidateProvider: nominal designers that
+// expose their candidate pool (every engine's does); the local-search
+// baselines require it.
+type CandidateProvider = designer.CandidateProvider
 
 // OptimalLocalSearch samples the neighborhood, unions the neighbor queries
 // into a representative expected workload, and solves an integer program for
-// the optimal structure set for that union within the budget.
+// the optimal structure set for that union within the budget: it is
+// portfolio.ILPDesigner, uncapped, over the union's candidate pool.
 type OptimalLocalSearch struct {
 	Nominal    designer.Designer // must also implement CandidateProvider
 	Cost       designer.CostModel
@@ -179,60 +177,11 @@ func (o *OptimalLocalSearch) Design(ctx context.Context, w *workload.Workload) (
 		}
 		union = union.Union(wn.Scale(w.TotalWeight() / (t * float64(len(neighborhood)))))
 	}
-	union = designer.CompressByTemplate(union)
 
-	candidates := provider.Candidates(union)
-	if len(candidates) == 0 {
-		return designer.NewDesign(), nil
-	}
-
-	// Build the ILP: per-query base costs and per-(query, structure) costs.
-	var queries []*workload.Query
-	var weights []float64
-	for _, it := range union.Items {
-		if _, err := o.Cost.Cost(ctx, it.Q, nil); err != nil {
-			continue // skip unsupported queries
-		}
-		queries = append(queries, it.Q)
-		weights = append(weights, it.Weight)
-	}
-	prob := &ilp.Problem{
-		Weights: weights,
-		Base:    make([]float64, len(queries)),
-		Cost:    make([][]float64, len(queries)),
-		Size:    make([]int64, len(candidates)),
-		Budget:  o.Budget,
-	}
-	for s, cand := range candidates {
-		prob.Size[s] = cand.SizeBytes()
-	}
-	for qi, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		base, err := o.Cost.Cost(ctx, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		prob.Base[qi] = base
-		row := make([]float64, len(candidates))
-		for si, cand := range candidates {
-			c, err := o.Cost.Cost(ctx, q, designer.NewDesign(cand))
-			if err != nil {
-				row[si] = math.Inf(1)
-				continue
-			}
-			row[si] = c
-		}
-		prob.Cost[qi] = row
-	}
-	sol, err := ilp.Solve(prob, o.MaxILPNode)
+	ilpd := &portfolio.ILPDesigner{Cost: o.Cost, Provider: provider, Budget: o.Budget, MaxNodes: o.MaxILPNode, MaxCandidates: -1}
+	d, err := ilpd.Design(ctx, union)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: ILP: %w", err)
+		return nil, fmt.Errorf("baselines: %w", err)
 	}
-	chosen := make([]designer.Structure, 0, len(sol.Chosen))
-	for _, idx := range sol.Chosen {
-		chosen = append(chosen, candidates[idx])
-	}
-	return designer.NewDesign(chosen...), nil
+	return d, nil
 }

@@ -244,99 +244,20 @@ func CompressByTemplate(w *workload.Workload) *workload.Workload {
 // benefit-per-byte under the current design until the budget is exhausted or
 // no candidate helps. Benefit is the reduction in f(W, D).
 //
-// The loop exploits the engines' min-composition property — the cost of a
-// query under a design is the minimum of its per-structure access-path costs
-// — to evaluate candidates incrementally: each (query, structure) pair is
-// costed once, and a pick only lowers the per-query running minimum.
+// The loop runs over the workload's PairTable: each (query, structure) pair
+// is costed once, and a pick only lowers the per-query running minimum.
+// Queries the engine does not support drop out (see NewPairTable).
 func GreedySelect(ctx context.Context, cm CostModel, w *workload.Workload, candidates []Structure, budget int64) (*Design, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	design := NewDesign()
-	if len(candidates) == 0 {
-		return design, nil
+	t, err := NewPairTable(ctx, cm, w, candidates)
+	if err != nil {
+		return nil, err
 	}
-	var structures []Structure
-	seen := make(map[string]bool, len(candidates))
-	for _, c := range candidates {
-		if c == nil || seen[c.Key()] {
-			continue
-		}
-		seen[c.Key()] = true
-		structures = append(structures, c)
+	all := make([]int, len(t.Pool))
+	for i := range all {
+		all[i] = i
 	}
-
-	nq := len(w.Items)
-	cur := make([]float64, nq)
-	for i, it := range w.Items {
-		c, err := cm.Cost(ctx, it.Q, nil)
-		if err != nil {
-			return nil, fmt.Errorf("costing %s: %w", it.Q, err)
-		}
-		cur[i] = c
-	}
-	// pair[s][q]: cost of query q with structure s alone.
-	pair := make([][]float64, len(structures))
-	for si, s := range structures {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := make([]float64, nq)
-		d := NewDesign(s)
-		for qi, it := range w.Items {
-			c, err := cm.Cost(ctx, it.Q, d)
-			if err != nil {
-				return nil, fmt.Errorf("costing %s: %w", it.Q, err)
-			}
-			row[qi] = c
-		}
-		pair[si] = row
-	}
-
-	taken := make([]bool, len(structures))
-	used := int64(0)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestIdx := -1
-		bestScore := 0.0
-		for si, s := range structures {
-			if taken[si] || used+s.SizeBytes() > budget {
-				continue
-			}
-			var gain float64
-			for qi, it := range w.Items {
-				if c := pair[si][qi]; c < cur[qi] {
-					gain += it.Weight * (cur[qi] - c)
-				}
-			}
-			if gain <= 0 {
-				continue
-			}
-			score := gain / float64(maxI64(s.SizeBytes(), 1))
-			if bestIdx < 0 || score > bestScore {
-				bestIdx, bestScore = si, score
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		taken[bestIdx] = true
-		design = design.With(structures[bestIdx])
-		used += structures[bestIdx].SizeBytes()
-		for qi := range cur {
-			if c := pair[bestIdx][qi]; c < cur[qi] {
-				cur[qi] = c
-			}
-		}
-	}
-	return design, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return t.Design(t.Complete(all, nil, append([]float64(nil), t.Base...), 0, budget)), nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
+	"cliffguard/internal/portfolio/portfoliotest"
 	"cliffguard/internal/workload"
 )
 
@@ -339,3 +340,32 @@ func TestPortfolioIterationTag(t *testing.T) {
 }
 
 var _ fmt.Stringer = (*designer.Design)(nil) // Design.String is part of the determinism checks above
+
+// hardPairCost costs every query at 100 under the empty design and fails
+// hard under any structure.
+type hardPairCost struct{ err error }
+
+func (h hardPairCost) Cost(_ context.Context, _ *workload.Query, d *designer.Design) (float64, error) {
+	if d.Len() > 0 {
+		return 0, h.err
+	}
+	return 100, nil
+}
+
+// TestSelectionDesignersReturnHardPairErrors pins the pair table's error
+// convention in both selection designers: a cost-model error that is not
+// designer.ErrUnsupported aborts the design instead of marking the pair
+// inapplicable.
+func TestSelectionDesignersReturnHardPairErrors(t *testing.T) {
+	injected := errors.New("injected what-if failure")
+	cost := hardPairCost{injected}
+	pool := portfoliotest.FixedProvider{stubStructure{"good-a", 1}, stubStructure{"good-b", 1}}
+	for _, d := range []designer.Designer{
+		NewAutoAdmin(cost, pool, 1<<30),
+		NewILPDesigner(cost, pool, 1<<30),
+	} {
+		if _, err := d.Design(context.Background(), stubWorkload()); !errors.Is(err, injected) {
+			t.Errorf("%s: err = %v, want the injected pair error", d.Name(), err)
+		}
+	}
+}

@@ -462,18 +462,28 @@ func TestServiceMetricsExposed(t *testing.T) {
 	pollRun(t, client, ts.URL+"/v1/tenants/metered/runs/"+ri.ID)
 	call(t, client, "GET", ts.URL+"/v1/tenants/ghost", "", "") // a 4xx series
 
-	code, body := raw(t, client, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
+	// The worker observes the run duration just after the run's handle
+	// reports done, so pollRun can see the run terminal first: scrape until
+	// the series lands, or the deadline passes and the check below fails.
+	const runDuration = `cliffguard_tenant_run_duration_seconds_count{tenant="metered"} 1`
+	var page string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		code, body := raw(t, client, ts.URL+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics: %d", code)
+		}
+		page = string(body)
+		if strings.Contains(page, runDuration) || time.Now().After(deadline) {
+			break
+		}
 	}
-	page := string(body)
 	for _, want := range []string{
 		`cliffguard_http_request_latency_seconds_count{route="GET /v1/healthz",status="2xx"}`,
 		`cliffguard_http_request_latency_seconds_count{route="GET /v1/tenants/{tenant}",status="4xx"}`,
 		`cliffguard_http_requests_total{route="POST /v1/tenants/{tenant}/runs",status="2xx"}`,
 		`cliffguard_tenant_runs_total{tenant="metered"} 1`,
 		`cliffguard_tenant_queue_wait_seconds_count{tenant="metered"} 1`,
-		`cliffguard_tenant_run_duration_seconds_count{tenant="metered"} 1`,
+		runDuration,
 		`cliffguard_shared_unitcost_tenant_misses_total{tenant="metered"}`,
 	} {
 		if !strings.Contains(page, want) {

@@ -69,6 +69,33 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzParseSchema drives the DDL parser with arbitrary input: ParseSchema
+// must terminate without panicking, and a schema it accepts holds at least
+// one table. The seeds are the inputs of the ParseSchema unit tests.
+func FuzzParseSchema(f *testing.F) {
+	for _, s := range []string{
+		testDDL,
+		"create table t (count bigint, v float);",
+		"",
+		"CREATE TABLE t (a BIGINT)",
+		"CREATE TABLE t (a FROBNITZ);",
+		"CREATE TABLE t (a BIGINT) ROWS 0;",
+		"CREATE TABLE t (a BIGINT CARDINALITY 0);",
+		"CREATE VIEW v (a BIGINT);",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ddl string) {
+		s, err := ParseSchema(ddl)
+		if err != nil {
+			return // rejecting is fine; crashing is not
+		}
+		if s == nil || len(s.Tables()) == 0 {
+			t.Fatalf("accepted schema without a table: %q", ddl)
+		}
+	})
+}
+
 func fuzzSchema() *schema.Schema {
 	return schema.MustNew([]schema.TableDef{
 		{

@@ -503,9 +503,8 @@ func TestDesignerSkipsUnsupportedQueries(t *testing.T) {
 	bad := q(&workload.Spec{Table: "nope", SelectCols: []int{0}})
 	w := workload.New(ok, bad)
 	d := NewDesigner(db, 1<<30)
-	// Candidates skip the unsupported query; GreedySelect would error on it,
-	// so Design must be called with supported queries only. The designer's
-	// candidate generation must not panic on the bad one.
+	// Candidates skip the unsupported query, and so does the pair table
+	// Design selects from: the bad query changes nothing.
 	cands := d.Candidates(w)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for the supported query")
@@ -514,6 +513,17 @@ func TestDesignerSkipsUnsupportedQueries(t *testing.T) {
 		if c.(*Projection).Anchor != "f" {
 			t.Fatal("candidate for unsupported table")
 		}
+	}
+	mixed, err := d.Design(context.Background(), w)
+	if err != nil {
+		t.Fatalf("Design with an unsupported query: %v", err)
+	}
+	clean, err := d.Design(context.Background(), workload.New(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mixed.Len() == 0 || mixed.String() != clean.String() {
+		t.Fatalf("Design{ok, bad} = %s, want Design{ok} = %s", mixed, clean)
 	}
 }
 

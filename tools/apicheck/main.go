@@ -29,6 +29,7 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,7 +95,7 @@ func surface(dir string) ([]string, error) {
 		}
 	}
 	sort.Strings(lines)
-	return dedupe(lines), nil
+	return slices.Compact(lines), nil
 }
 
 func declLines(fset *token.FileSet, pkg string, decl ast.Decl) []string {
@@ -193,16 +194,4 @@ func typeString(fset *token.FileSet, t ast.Expr) string {
 	// Collapse multi-line struct/interface bodies to one canonical line.
 	fields := strings.Fields(sb.String())
 	return strings.Join(fields, " ")
-}
-
-func dedupe(lines []string) []string {
-	out := lines[:0]
-	var prev string
-	for i, l := range lines {
-		if i == 0 || l != prev {
-			out = append(out, l)
-		}
-		prev = l
-	}
-	return out
 }
