@@ -38,15 +38,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz of the SQL and DDL parsers, the JSONL stream decoders, and the
-# ILP solver's brute-force cross-check, on top of the checked-in corpora (go's
-# -fuzz takes one target per invocation).
+# Short fuzz of the SQL and DDL parsers, the JSONL stream decoders, the ILP
+# solver's brute-force cross-check, and /v1 run-request decoding, on top of
+# the checked-in corpora (go's -fuzz takes one target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzParseSchema -fuzztime=5s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzDecodeSpans -fuzztime=5s ./internal/obs/
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
+	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 
 # Regression-lock the run-analysis math: the golden event stream must
 # summarize to exactly the checked-in expected summary. After an intentional

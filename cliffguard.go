@@ -116,7 +116,7 @@ type (
 	QuadraticMetric = distance.Quadratic
 	// Sampler draws Gamma-neighborhood workloads (Algorithm 4). New and
 	// NewWithMetric build one internally; construct one directly (NewSampler)
-	// to tune Parallelism or DisableFastPath.
+	// to tune Parallelism.
 	Sampler = sample.Sampler
 
 	// VerticaDB is the columnar (sorted-projection) engine simulator.
@@ -298,9 +298,9 @@ const (
 
 // NewSampler returns a Gamma-neighborhood sampler over the schema's default
 // template mutator. The zero Sampler fields mean the paper defaults; set
-// Parallelism to bound the worker pool (0 = GOMAXPROCS — results are
-// bit-identical at any parallelism) or DisableFastPath to force the legacy
-// verify/bisect landing for quadratic metrics.
+// Parallelism to bound the worker pool (0 = NumCPU — results are
+// bit-identical at any parallelism). Quadratic metrics land each draw in
+// closed form; any other metric takes the verify/bisect landing.
 func NewSampler(m Metric, s *Schema) *Sampler {
 	return sample.New(m, sample.NewMutator(s))
 }

@@ -325,54 +325,37 @@ func (cg *CliffGuard) invokeNominal(ctx context.Context, em emitter, nominal des
 	return d, nil
 }
 
-// worstOf is the max reduction over one evaluation pass: the worst-case cost
-// across the sampled neighborhood. Workloads the cost model cannot handle at
-// all are skipped (the sampler's mutator only produces in-schema queries, so
-// this is defensive); if every workload is uncostable the result is
-// ErrUncostableNeighborhood rather than a degenerate -Inf worst case. The
-// reduction walks results in neighborhood-index order, and a hard error from
-// the lowest index wins, so the outcome is independent of worker scheduling.
-// Both reductions (worstOf and topNeighbors) consume the same score pass —
-// the single-pass-per-(neighborhood, design) contract of incremental.go.
-func worstOf(results []evalResult) (float64, error) {
-	worst := math.Inf(-1)
-	costable := false
-	for _, r := range results {
-		if r.err != nil {
-			if errors.Is(r.err, errWorkloadUncostable) {
-				continue
-			}
-			return 0, r.err
-		}
-		costable = true
-		if r.cost > worst {
-			worst = r.cost
-		}
-	}
-	if !costable {
+// worstOf is the max reduction over one evaluation pass (evalcache.Worst):
+// the worst-case cost across the sampled neighborhood, with an
+// all-uncostable neighborhood reported as ErrUncostableNeighborhood. Both
+// reductions (worstOf and topNeighbors) consume the same score pass — the
+// single-pass-per-(neighborhood, design) contract of incremental.go.
+func worstOf(results []evalcache.Result) (float64, error) {
+	worst, err := evalcache.Worst(results)
+	if errors.Is(err, evalcache.ErrUncostable) {
 		return 0, ErrUncostableNeighborhood
 	}
-	return worst, nil
+	return worst, err
 }
 
 // topNeighbors reduces one evaluation pass to the top fraction of the
 // neighborhood by cost, most expensive first. The stable sort runs over the
 // index-ordered result slice, so ties between equal-cost neighbors break by
 // neighborhood index regardless of worker count.
-func topNeighbors(neighborhood []*workload.Workload, results []evalResult, frac float64) ([]*workload.Workload, error) {
+func topNeighbors(neighborhood []*workload.Workload, results []evalcache.Result, frac float64) ([]*workload.Workload, error) {
 	type scored struct {
 		w *workload.Workload
 		c float64
 	}
 	var all []scored
 	for i, r := range results {
-		if r.err != nil {
-			if errors.Is(r.err, errWorkloadUncostable) {
+		if r.Err != nil {
+			if errors.Is(r.Err, evalcache.ErrUncostable) {
 				continue
 			}
-			return nil, r.err
+			return nil, r.Err
 		}
-		all = append(all, scored{neighborhood[i], r.cost})
+		all = append(all, scored{neighborhood[i], r.Cost})
 	}
 	if len(all) == 0 {
 		return nil, ErrUncostableNeighborhood
@@ -464,7 +447,7 @@ func (cg *CliffGuard) moveWorkload(ctx context.Context, w0 *workload.Workload, w
 		}
 		// Unsupported queries and hard errors are skipped either way, so the
 		// memoized and legacy paths build identical moved workloads.
-		fq, unsupported, _, err := cg.unitCost(ctx, q, d, units, fp)
+		fq, unsupported, _, err := units.UnitCost(ctx, cg.Cost, q, d, fp)
 		if err != nil || unsupported || fq <= 0 {
 			continue
 		}

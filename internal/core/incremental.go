@@ -29,12 +29,13 @@ import (
 //     already computed by the pass that scored it.
 //
 // Determinism: memoized unit costs are the exact float64s the pure cost
-// model returns (see workloadCost), cached score slices are the exact
-// evalResult values of the live pass, and replay emits NeighborEvaluated
-// events with identical payloads in index order — the canonical order every
-// within-pass comparison normalizes to (and the literal emission order at
-// Parallelism 1). Designs, traces, and JSONL payloads are therefore
-// bit-identical with the fast path on or off, at any parallelism.
+// model returns (see evalcache.WorkloadCost), cached score slices are the
+// exact evalcache.Result values of the live pass, and replay emits
+// NeighborEvaluated events with identical payloads in index order — the
+// canonical order every within-pass comparison normalizes to (and the
+// literal emission order at Parallelism 1). Designs, traces, and JSONL
+// payloads are therefore bit-identical with the fast path on or off, at any
+// parallelism.
 //
 // Memory: retain() applies the two-generation policy after every iteration —
 // only the incumbent's and the latest candidate's fingerprints survive, in
@@ -42,8 +43,8 @@ import (
 // 2 x |distinct queries| regardless of iteration count.
 type runEval struct {
 	cg     *CliffGuard
-	units  *evalcache.Cache        // nil when the fast path is disabled
-	scores map[uint64][]evalResult // design fingerprint -> index-aligned pass results
+	units  *evalcache.Cache              // nil when the fast path is disabled
+	scores map[uint64][]evalcache.Result // design fingerprint -> index-aligned pass results
 
 	// Cross-run generation handoff (Options.WarmStart/ExportGeneration): gen
 	// accumulates the run's export — harvested before every retain eviction
@@ -57,7 +58,7 @@ type runEval struct {
 func (cg *CliffGuard) newRunEval(opts Options) *runEval {
 	re := &runEval{cg: cg}
 	if !opts.DisableEvalFastPath {
-		re.scores = make(map[uint64][]evalResult)
+		re.scores = make(map[uint64][]evalcache.Result)
 		re.units = evalcache.New()
 		re.units.SetWarm(opts.WarmStart)
 		if opts.Metrics != nil {
@@ -83,7 +84,7 @@ func (re *runEval) harvest() {
 // d's fingerprint has been scored before in this run. score runs on the loop
 // goroutine only (the internal maps are not locked); the parallel fan-out
 // happens inside evalNeighborhood.
-func (re *runEval) score(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string) []evalResult {
+func (re *runEval) score(ctx context.Context, neighborhood []*workload.Workload, d *designer.Design, em emitter, iter int, phase string) []evalcache.Result {
 	if re.scores != nil {
 		if cached, ok := re.scores[d.Fingerprint()]; ok {
 			re.replay(cached, em, iter, phase)
@@ -100,7 +101,7 @@ func (re *runEval) score(ctx context.Context, neighborhood []*workload.Workload,
 // replay re-emits a memoized pass: the same NeighborEvaluated payloads the
 // live pass produced, in index order, with the same per-workload metric
 // updates (each replayed workload counts as a fast-path evaluation).
-func (re *runEval) replay(results []evalResult, em emitter, iter int, phase string) {
+func (re *runEval) replay(results []evalcache.Result, em emitter, iter int, phase string) {
 	for i, r := range results {
 		start := em.clock()
 		if em.met != nil {
@@ -109,10 +110,10 @@ func (re *runEval) replay(results []evalResult, em emitter, iter int, phase stri
 			em.met.EvalLatency.Observe(time.Since(start))
 		}
 		if em.obs != nil {
-			if r.err == nil {
-				em.obs.OnEvent(obs.NeighborEvaluated{Iteration: iter, Phase: phase, Index: i, Cost: r.cost})
+			if r.Err == nil {
+				em.obs.OnEvent(obs.NeighborEvaluated{Iteration: iter, Phase: phase, Index: i, Cost: r.Cost})
 			} else {
-				// cacheableResults admits only errWorkloadUncostable.
+				// cacheableResults admits only evalcache.ErrUncostable.
 				em.obs.OnEvent(obs.NeighborEvaluated{Iteration: iter, Phase: phase, Index: i, Uncostable: true})
 			}
 		}
@@ -141,9 +142,9 @@ func (re *runEval) retain(incumbent, candidate *designer.Design) {
 // uncostability is a deterministic outcome and caches fine, but hard errors
 // (cancellation, cost-model failure) abort the run and must never be
 // replayed as results.
-func cacheableResults(results []evalResult) bool {
+func cacheableResults(results []evalcache.Result) bool {
 	for _, r := range results {
-		if r.err != nil && !errors.Is(r.err, errWorkloadUncostable) {
+		if r.Err != nil && !errors.Is(r.Err, evalcache.ErrUncostable) {
 			return false
 		}
 	}

@@ -119,7 +119,7 @@ type Options struct {
 	// (false) memoizes unit costs per (query, design-fingerprint) and
 	// replays whole passes for already-scored designs; designs, traces, and
 	// JSONL events are bit-identical either way, so this is purely an escape
-	// hatch (mirroring sample.Sampler.DisableFastPath).
+	// hatch and the reference the EVAL experiment measures against.
 	DisableEvalFastPath bool
 
 	// Observer receives the loop's typed instrumentation events

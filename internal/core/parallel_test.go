@@ -230,23 +230,3 @@ func TestMoveWorkloadDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersResolution pins the Parallelism -> pool-size mapping.
-func TestWorkersResolution(t *testing.T) {
-	cg := &CliffGuard{}
-	cg.Opts.Parallelism = 0
-	if got := cg.workers(1000); got != runtime.NumCPU() {
-		t.Errorf("default workers = %d, want NumCPU %d", got, runtime.NumCPU())
-	}
-	cg.Opts.Parallelism = 4
-	if got := cg.workers(2); got != 2 {
-		t.Errorf("workers capped by task count: got %d, want 2", got)
-	}
-	if got := cg.workers(100); got != 4 {
-		t.Errorf("workers = %d, want 4", got)
-	}
-	cg.Opts.Parallelism = -3
-	if got := cg.workers(1000); got != runtime.NumCPU() {
-		t.Errorf("negative parallelism: got %d, want NumCPU", got)
-	}
-}

@@ -106,14 +106,64 @@ func TestConcurrentHammer(t *testing.T) {
 func TestShardSpread(t *testing.T) {
 	// The shard hash must actually spread keys; all-in-one-stripe would
 	// silently serialize parallel evaluation again.
-	c := New()
-	used := make(map[*shard]bool)
+	used := make(map[uint64]bool)
 	for _, q := range testQueries(256) {
 		for _, path := range []string{"", "a", "bb"} {
-			used[c.shardFor(q, path)] = true
+			used[pathHash(cacheKey{q, path})&(numShards-1)] = true
 		}
 	}
 	if len(used) < numShards/2 {
 		t.Fatalf("only %d of %d shards used", len(used), numShards)
+	}
+}
+
+// TestMapStripeTallies: Lookup tallies each hit and miss against the key's
+// own stripe, Peek tallies nothing, Tally counts without a lookup, and
+// Clear drops the entries but keeps the tallies.
+func TestMapStripeTallies(t *testing.T) {
+	m := NewMap[uint64, string](func(k uint64) uint64 { return k })
+	m.Store(3, "three")
+	if v, ok := m.Lookup(3); !ok || v != "three" {
+		t.Fatalf("Lookup(3) = (%q, %v)", v, ok)
+	}
+	m.Lookup(3 + numShards) // same stripe as 3, absent
+	m.Lookup(5)
+	if _, ok := m.Peek(3); !ok {
+		t.Fatal("Peek(3) missed")
+	}
+	m.Tally(7, true)
+	st := m.Stats()
+	if len(st.Shards) != numShards {
+		t.Fatalf("%d stripes reported, want %d", len(st.Shards), numShards)
+	}
+	want := map[int][2]uint64{3: {1, 1}, 5: {0, 1}, 7: {1, 0}}
+	for i, sh := range st.Shards {
+		w := want[i]
+		if sh.Hits != w[0] || sh.Misses != w[1] {
+			t.Errorf("stripe %d: hits %d misses %d, want %d/%d", i, sh.Hits, sh.Misses, w[0], w[1])
+		}
+	}
+	if st.Hits != 2 || st.Misses != 2 || st.Entries != 1 || st.Shards[3].Entries != 1 {
+		t.Fatalf("aggregate %+v", st)
+	}
+
+	m.Store(9, "nine")
+	m.DeleteFunc(func(k uint64, _ string) bool { return k == 3 })
+	seen := 0
+	m.Range(func(k uint64, v string) {
+		if k != 9 || v != "nine" {
+			t.Fatalf("Range yielded (%d, %q) after DeleteFunc", k, v)
+		}
+		seen++
+	})
+	if seen != 1 || m.Len() != 1 {
+		t.Fatalf("Range saw %d entries, Len %d, want 1", seen, m.Len())
+	}
+	m.Clear()
+	if m.Len() != 0 {
+		t.Fatalf("Len after Clear = %d", m.Len())
+	}
+	if after := m.Stats(); after.Hits != st.Hits || after.Misses != st.Misses {
+		t.Fatalf("Clear reset the tallies: %d/%d, want %d/%d", after.Hits, after.Misses, st.Hits, st.Misses)
 	}
 }

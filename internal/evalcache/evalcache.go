@@ -1,11 +1,14 @@
-// Package evalcache memoizes the evaluation layer's one pure function: the
-// unit cost of a query under a design. CliffGuard's workload cost f(W, D) is
-// linear in the item weights (a weighted mean of per-query what-if costs), so
-// once every query of a neighborhood has been costed under a design
-// fingerprint, every further workload evaluation under that design is a pure
-// dot product with zero cost-model calls.
+// Package evalcache is the evaluation layer's kernel: CliffGuard's one cost
+// function f(W, D) (WorkloadCost) over memoized unit costs (UnitCost), and
+// the worst-case reduction over a scored set (Worst). The robust loop's
+// neighborhood passes, its MoveWorkload, and the portfolio's member scoring
+// all call these, so every design is judged by the same f.
 //
-// Two memo types share one lock-striped layout:
+// f(W, D) is linear in the item weights (a weighted mean of per-query
+// what-if costs), so once every query of a neighborhood has been costed
+// under a design fingerprint, every further workload evaluation under that
+// design is a pure dot product with zero cost-model calls. Two memo types,
+// both thin types over costcache.Map, hold those unit costs:
 //
 //   - Cache is the per-run memo, keyed by (query pointer, design
 //     fingerprint) — the fastest identity inside one process-local run. Its
@@ -30,14 +33,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cliffguard/internal/costcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/workload"
 )
-
-// numShards is the stripe count. Must be a power of two; 64 matches
-// costcache and keeps collision probability negligible for NumCPU-bounded
-// worker counts.
-const numShards = 64
 
 type cacheKey struct {
 	q  *workload.Query
@@ -53,22 +52,23 @@ type entry struct {
 	unsupported bool
 }
 
-type shard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]entry
-	// Hit/miss tallies live outside the map lock (plain atomics), same as
-	// costcache: Lookup on the hot path must contend only on the RLock.
-	hits   atomic.Uint64
-	misses atomic.Uint64
+// pairHash stripes a (query, fingerprint) pair: a splitmix64-style mix of
+// the query ID and the design fingerprint.
+func pairHash(k cacheKey) uint64 {
+	h := (uint64(k.q.ID) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	h ^= k.fp
+	h *= 0x94d049bb133111eb
+	return h ^ h>>33
 }
 
 // Cache memoizes unit costs per (query, design-fingerprint) pair. The zero
-// value is not usable; call New.
+// value is not usable; call New. A nil *Cache is a valid argument to the
+// kernel (UnitCost, WorkloadCost) and means "no memo".
 type Cache struct {
-	shards [numShards]shard
+	m *costcache.Map[cacheKey, entry]
 
 	// Cross-run warm start: an optional content-keyed fallback memo
-	// consulted on shard misses, a tally of lookups it served, and a
+	// consulted on misses, a tally of lookups it served, and a
 	// per-query-pointer ContentHash memo shared by the warm path and
 	// ExportInto. warm is written once by SetWarm before the cache is
 	// shared; the rest are concurrency-safe.
@@ -78,58 +78,35 @@ type Cache struct {
 }
 
 // New returns an empty cache.
-func New() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]entry)
-	}
-	return c
-}
-
-// shardFor picks the stripe for a (query, fingerprint) pair: a
-// splitmix64-style mix of the query ID and the design fingerprint.
-func (c *Cache) shardFor(q *workload.Query, fp uint64) *shard {
-	h := (uint64(q.ID) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	h ^= fp
-	h *= 0x94d049bb133111eb
-	h ^= h >> 33
-	return &c.shards[h&(numShards-1)]
-}
+func New() *Cache { return &Cache{m: costcache.NewMap[cacheKey, entry](pairHash)} }
 
 // Lookup returns the memoized unit cost of q under the design with
 // fingerprint fp, if present. unsupported reports a memoized
 // designer.ErrUnsupported verdict (cost is 0 in that case). With a warm
-// memo installed (SetWarm), a shard miss falls back to it under the query's
-// content key; a hit there is promoted into the shard and counted as a hit
+// memo installed (SetWarm), a miss falls back to it under the query's
+// content key; a hit there is promoted into the cache and counted as a hit
 // (it IS a memo hit — from the previous run's memo).
 func (c *Cache) Lookup(q *workload.Query, fp uint64) (cost float64, unsupported, ok bool) {
-	s := c.shardFor(q, fp)
-	s.mu.RLock()
-	e, ok := s.m[cacheKey{q, fp}]
-	s.mu.RUnlock()
-	if !ok && c.warm != nil {
+	k := cacheKey{q, fp}
+	if c.warm == nil {
+		e, ok := c.m.Lookup(k)
+		return e.cost, e.unsupported, ok
+	}
+	e, ok := c.m.Peek(k)
+	if !ok {
 		if wc, wu, wok := c.warm.Lookup(SharedKey{Query: c.contentHash(q), Design: fp}); wok {
 			e, ok = entry{cost: wc, unsupported: wu}, true
-			s.mu.Lock()
-			s.m[cacheKey{q, fp}] = e
-			s.mu.Unlock()
+			c.m.Store(k, e)
 			c.warmHits.Add(1)
 		}
 	}
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
+	c.m.Tally(k, ok)
 	return e.cost, e.unsupported, ok
 }
 
 // Store memoizes the unit cost (or the unsupported verdict) for the pair.
 func (c *Cache) Store(q *workload.Query, fp uint64, cost float64, unsupported bool) {
-	s := c.shardFor(q, fp)
-	s.mu.Lock()
-	s.m[cacheKey{q, fp}] = entry{cost: cost, unsupported: unsupported}
-	s.mu.Unlock()
+	c.m.Store(cacheKey{q, fp}, entry{cost: cost, unsupported: unsupported})
 }
 
 // Retain drops every entry whose design fingerprint is not in fps — the
@@ -141,57 +118,19 @@ func (c *Cache) Retain(fps ...uint64) {
 	for _, fp := range fps {
 		keep[fp] = true
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.m {
-			if !keep[k.fp] {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
-	}
+	c.m.DeleteFunc(func(k cacheKey, _ entry) bool { return !keep[k.fp] })
 }
 
 // Len returns the total number of memoized pairs (diagnostics and tests).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.m.Len() }
 
-// Stats snapshots hit/miss tallies and entry counts, per shard and in
-// aggregate, in the shape obs.Metrics.RegisterCache consumes. The snapshot
-// is not atomic across shards, which is fine for monitoring.
-func (c *Cache) Stats() obs.CacheStats {
-	var out obs.CacheStats
-	out.Shards = make([]obs.CacheShardStats, numShards)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		entries := len(s.m)
-		s.mu.RUnlock()
-		sh := obs.CacheShardStats{
-			Hits:    s.hits.Load(),
-			Misses:  s.misses.Load(),
-			Entries: entries,
-		}
-		out.Shards[i] = sh
-		out.Hits += sh.Hits
-		out.Misses += sh.Misses
-		out.Entries += sh.Entries
-	}
-	return out
-}
+// Stats snapshots hit/miss tallies and entry counts, per stripe and in
+// aggregate, in the shape obs.Metrics.RegisterCache consumes.
+func (c *Cache) Stats() obs.CacheStats { return c.m.Stats() }
 
 // SetWarm installs warm as the cache's read-only fallback: a Lookup that
-// misses the pointer-keyed shard consults warm under the key (Class 0,
-// ContentHash, fingerprint), and a hit there is promoted into the shard (so
+// misses the pointer-keyed memo consults warm under the key (Class 0,
+// ContentHash, fingerprint), and a hit there is promoted into the memo (so
 // the hash is computed at most once per pair) and tallied in WarmHits. Call
 // before the cache is shared across goroutines; nil disables the fallback.
 //
@@ -226,12 +165,7 @@ func (c *Cache) ExportInto(dst *Shared) {
 	if dst == nil {
 		return
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, e := range s.m {
-			dst.Store(SharedKey{Query: c.contentHash(k.q), Design: k.fp}, e.cost, e.unsupported)
-		}
-		s.mu.RUnlock()
-	}
+	c.m.Range(func(k cacheKey, e entry) {
+		dst.m.Store(SharedKey{Query: c.contentHash(k.q), Design: k.fp}, e)
+	})
 }

@@ -139,14 +139,14 @@ func TestConcurrentHammer(t *testing.T) {
 func TestShardSpread(t *testing.T) {
 	// The shard hash must actually spread keys; all-in-one-stripe would
 	// silently serialize parallel evaluation again.
-	c := New()
-	used := make(map[*shard]bool)
+	stripes := uint64(len(New().Stats().Shards))
+	used := make(map[uint64]bool)
 	for _, q := range testQueries(256) {
 		for _, fp := range []uint64{1, 1 << 20, 0xdeadbeef} {
-			used[c.shardFor(q, fp)] = true
+			used[pairHash(cacheKey{q, fp})%stripes] = true
 		}
 	}
-	if len(used) < numShards/2 {
-		t.Fatalf("only %d of %d shards used", len(used), numShards)
+	if uint64(len(used)) < stripes/2 {
+		t.Fatalf("only %d of %d shards used", len(used), stripes)
 	}
 }

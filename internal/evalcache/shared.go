@@ -1,9 +1,7 @@
 package evalcache
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"cliffguard/internal/costcache"
 	"cliffguard/internal/obs"
 )
 
@@ -30,45 +28,33 @@ type SharedKey struct {
 	Design uint64
 }
 
-type sharedShard struct {
-	mu     sync.RWMutex
-	m      map[SharedKey]entry
-	hits   atomic.Uint64
-	misses atomic.Uint64
+// sharedHash stripes a content key: the same splitmix64-style mix as the
+// per-run Cache, with the engine class folded in.
+func sharedHash(k SharedKey) uint64 {
+	h := (k.Query + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	h ^= k.Design
+	h *= 0x94d049bb133111eb
+	h ^= k.Class
+	return h ^ h>>33
 }
 
 // Shared is the content-keyed unit-cost memo. It serves two roles with one
 // type: the serving layer installs one per process beneath every tenant's
 // runs (the cross-tenant memo), and a finished run exports its per-run Cache
 // into one for the next run to import (the warm-start handoff, see
-// Cache.ExportInto and Cache.SetWarm). It uses the same 64-way lock striping
-// as Cache; values are pure functions of their key, so concurrent redundant
+// Cache.ExportInto and Cache.SetWarm). Like Cache it is a costcache.Map;
+// values are pure functions of their key, so concurrent redundant
 // computation is benign.
 //
 // There is no eviction short of Reset: the entry count is bounded by
 // |distinct designs seen| x |distinct queries|. A nil *Shared is an empty,
 // read-only memo: Len and Lookup work on it.
 type Shared struct {
-	shards [numShards]sharedShard
+	m *costcache.Map[SharedKey, entry]
 }
 
 // NewShared returns an empty shared memo.
-func NewShared() *Shared {
-	s := &Shared{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[SharedKey]entry)
-	}
-	return s
-}
-
-func (s *Shared) shardFor(k SharedKey) *sharedShard {
-	h := (k.Query + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	h ^= k.Design
-	h *= 0x94d049bb133111eb
-	h ^= k.Class
-	h ^= h >> 33
-	return &s.shards[h&(numShards-1)]
-}
+func NewShared() *Shared { return &Shared{m: costcache.NewMap[SharedKey, entry](sharedHash)} }
 
 // Lookup returns the memoized unit cost for the key, if present. unsupported
 // reports a memoized designer.ErrUnsupported verdict (cost is 0 then).
@@ -76,71 +62,27 @@ func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
 	if s == nil {
 		return 0, false, false
 	}
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	e, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-	} else {
-		sh.misses.Add(1)
-	}
+	e, ok := s.m.Lookup(k)
 	return e.cost, e.unsupported, ok
 }
 
 // Store memoizes the unit cost (or the unsupported verdict) for the key.
 // Hard errors must never be stored; the caller enforces that.
 func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	sh.m[k] = entry{cost: cost, unsupported: unsupported}
-	sh.mu.Unlock()
+	s.m.Store(k, entry{cost: cost, unsupported: unsupported})
 }
 
 // Reset drops every entry (hit/miss tallies are kept; they are counters).
-func (s *Shared) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[SharedKey]entry)
-		sh.mu.Unlock()
-	}
-}
+func (s *Shared) Reset() { s.m.Clear() }
 
 // Len returns the total number of memoized entries.
 func (s *Shared) Len() int {
 	if s == nil {
 		return 0
 	}
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	return s.m.Len()
 }
 
 // Stats snapshots hit/miss tallies and entry counts in the shape
 // obs.Metrics.RegisterCache consumes.
-func (s *Shared) Stats() obs.CacheStats {
-	var out obs.CacheStats
-	out.Shards = make([]obs.CacheShardStats, numShards)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		entries := len(sh.m)
-		sh.mu.RUnlock()
-		st := obs.CacheShardStats{
-			Hits:    sh.hits.Load(),
-			Misses:  sh.misses.Load(),
-			Entries: entries,
-		}
-		out.Shards[i] = st
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Entries += st.Entries
-	}
-	return out
-}
+func (s *Shared) Stats() obs.CacheStats { return s.m.Stats() }

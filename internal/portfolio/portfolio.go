@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/evalcache"
+	"cliffguard/internal/fanout"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/workload"
@@ -121,11 +119,7 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 	// to the earlier member.
 	iter := obs.IterationFromContext(ctx)
 	units := evalcache.New()
-	type score struct {
-		cost float64
-		err  error
-	}
-	scores := make(map[uint64]score)
+	scores := make(map[uint64]evalcache.Result)
 	bestIdx := -1
 	var bestCost float64
 	var bestFP uint64
@@ -161,23 +155,23 @@ func (p *Portfolio) Design(ctx context.Context, w *workload.Workload) (*designer
 		sc, ok := scores[fp]
 		if !ok {
 			c, err := p.worstCase(ctx, scoring, out.d, units)
-			sc = score{cost: c, err: err}
+			sc = evalcache.Result{Cost: c, Err: err}
 			scores[fp] = sc
 		}
-		if sc.err != nil {
-			if !errors.Is(sc.err, errNoCostableWorkload) {
-				return nil, sc.err
+		if sc.Err != nil {
+			if !errors.Is(sc.Err, errNoCostableWorkload) {
+				return nil, sc.Err
 			}
 			if p.Metrics != nil {
 				p.Metrics.PortfolioMemberErrors.Inc()
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("member %s: %w", member.Name(), sc.err)
+				firstErr = fmt.Errorf("member %s: %w", member.Name(), sc.Err)
 			}
 			continue
 		}
-		if bestIdx < 0 || sc.cost < bestCost || (sc.cost == bestCost && fp < bestFP) {
-			bestIdx, bestCost, bestFP = i, sc.cost, fp
+		if bestIdx < 0 || sc.Cost < bestCost || (sc.Cost == bestCost && fp < bestFP) {
+			bestIdx, bestCost, bestFP = i, sc.Cost, fp
 		}
 	}
 	if bestIdx < 0 {
@@ -214,7 +208,7 @@ func (p *Portfolio) scoringSet(w *workload.Workload) ([]*workload.Workload, erro
 // timeout-bounded child context; outputs are member-index-aligned.
 func (p *Portfolio) race(ctx context.Context, w *workload.Workload) []memberOut {
 	outs := make([]memberOut, len(p.Members))
-	runOne := func(i int) {
+	fanout.Each(p.Parallelism, len(p.Members), func(i int) {
 		mctx := ctx
 		cancel := context.CancelFunc(func() {})
 		if p.MemberTimeout > 0 {
@@ -226,139 +220,26 @@ func (p *Portfolio) race(ctx context.Context, w *workload.Workload) []memberOut 
 			err = errors.New("designer returned a nil design")
 		}
 		outs[i] = memberOut{d: d, err: err}
-	}
-	workers := p.workers(len(p.Members))
-	if workers == 1 {
-		for i := range p.Members {
-			runOne(i)
-		}
-		return outs
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range p.Members {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return outs
 }
 
-// worstCase scores one design: the maximum normalized workload cost over the
-// scoring set, mirroring the robust loop's single-pass scorer. Workloads
-// with no costable query are skipped; if every workload is uncostable the
-// design is unscorable (errNoCostableWorkload). Per-workload costs are
-// computed in one goroutine each (fixed summation order) and reduced in
-// index order, so the score is bit-identical at any parallelism.
+// worstCase scores one design through the robust loop's own kernel: f(W, D)
+// per scoring workload (evalcache.WorkloadCost, unit costs memoized in the
+// shared units cache) reduced by evalcache.Worst. If every workload is
+// uncostable the design is unscorable (errNoCostableWorkload). Per-workload
+// costs are computed in one goroutine each (fixed summation order) and
+// reduced in index order, so the score is bit-identical at any parallelism.
 func (p *Portfolio) worstCase(ctx context.Context, scoring []*workload.Workload, d *designer.Design, units *evalcache.Cache) (float64, error) {
 	fp := d.Fingerprint()
-	type res struct {
-		cost float64
-		err  error
-	}
-	results := make([]res, len(scoring))
-	evalOne := func(i int) {
-		c, err := p.workloadCost(ctx, scoring[i], d, units, fp)
-		results[i] = res{cost: c, err: err}
-	}
-	workers := p.workers(len(scoring))
-	if workers == 1 {
-		for i := range scoring {
-			evalOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					evalOne(i)
-				}
-			}()
-		}
-		for i := range scoring {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	worst := math.Inf(-1)
-	costable := false
-	for _, r := range results {
-		if r.err != nil {
-			if errors.Is(r.err, errNoCostableWorkload) {
-				continue
-			}
-			return 0, r.err
-		}
-		costable = true
-		if r.cost > worst {
-			worst = r.cost
-		}
-	}
-	if !costable {
+	results := make([]evalcache.Result, len(scoring))
+	fanout.Each(p.Parallelism, len(scoring), func(i int) {
+		c, _, err := units.WorkloadCost(ctx, p.Cost, scoring[i], d, fp)
+		results[i] = evalcache.Result{Cost: c, Err: err}
+	})
+	worst, err := evalcache.Worst(results)
+	if errors.Is(err, evalcache.ErrUncostable) {
 		return 0, errNoCostableWorkload
 	}
-	return worst, nil
-}
-
-// workloadCost evaluates f(W, D) normalized by costable weight, memoizing
-// unit costs in the shared cache — the same semantics as the robust loop's
-// evaluator: unsupported queries are skipped, a workload with no costable
-// query yields errNoCostableWorkload, hard errors propagate uncached.
-func (p *Portfolio) workloadCost(ctx context.Context, w *workload.Workload, d *designer.Design, units *evalcache.Cache, fp uint64) (float64, error) {
-	var total, weight float64
-	for _, it := range w.Items {
-		if c, unsupported, ok := units.Lookup(it.Q, fp); ok {
-			if !unsupported {
-				total += it.Weight * c
-				weight += it.Weight
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		c, err := p.Cost.Cost(ctx, it.Q, d)
-		if err != nil {
-			if errors.Is(err, designer.ErrUnsupported) {
-				units.Store(it.Q, fp, 0, true)
-				continue
-			}
-			return 0, err
-		}
-		units.Store(it.Q, fp, c, false)
-		total += it.Weight * c
-		weight += it.Weight
-	}
-	if weight == 0 {
-		return 0, errNoCostableWorkload
-	}
-	return total / weight, nil
-}
-
-// workers resolves Parallelism to a pool size for n tasks.
-func (p *Portfolio) workers(n int) int {
-	par := p.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	if par > n {
-		par = n
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
+	return worst, err
 }

@@ -28,8 +28,7 @@ func BenchmarkSampleAt(b *testing.B) {
 // disabled: every draw pays the build-and-verify Distance evaluations.
 func BenchmarkSampleAtLegacy(b *testing.B) {
 	s := testSchema()
-	sampler, _ := newTestSampler(s)
-	sampler.DisableFastPath = true
+	sampler := New(opaqueMetric{distance.NewEuclidean(s.NumColumns())}, NewMutator(s))
 	rng := rand.New(rand.NewSource(1))
 	w0 := baseWorkload(s, rng, 20)
 	b.ResetTimer()
@@ -95,7 +94,7 @@ func BenchmarkDistanceEuclidean(b *testing.B) {
 }
 
 // BenchmarkNeighborhood measures a full n-draw neighborhood at p=1 and
-// p=GOMAXPROCS (same seed, bit-identical output).
+// p=NumCPU (same seed, bit-identical output).
 func BenchmarkNeighborhood(b *testing.B) {
 	s := testSchema()
 	w0 := baseWorkload(s, rand.New(rand.NewSource(4)), 20)

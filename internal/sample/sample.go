@@ -29,10 +29,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"cliffguard/internal/distance"
+	"cliffguard/internal/fanout"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/workload"
 )
@@ -66,15 +65,9 @@ type Sampler struct {
 	// than a few runaway queries.
 	PerturbationSize int
 	// Parallelism bounds the workers Neighborhood fans its draws across.
-	// <= 0 means GOMAXPROCS; 1 runs on the caller's goroutine. Results are
+	// <= 0 means runtime.NumCPU(); 1 runs on the caller's goroutine. Results are
 	// bit-identical at every setting (per-draw RNG substreams).
 	Parallelism int
-	// DisableFastPath forces the build-and-verify landing even for quadratic
-	// metrics. The closed form and the legacy path produce the same workload
-	// (the legacy path's first verification succeeds and returns the same
-	// blend); this switch exists for benchmarks and the property tests that
-	// prove exactly that.
-	DisableFastPath bool
 	// Metrics, when non-nil, counts draws, perturbation-set retries, failed
 	// draws, fast/slow-path landings, and sampler Distance evaluations.
 	Metrics *obs.Metrics
@@ -106,9 +99,6 @@ func (s *Sampler) SampleAt(rng *rand.Rand, w0 *workload.Workload, alpha float64)
 	}
 
 	quad, isQuad := s.Metric.(distance.Quadratic)
-	if s.DisableFastPath {
-		isQuad = false
-	}
 
 	// Find Q = {q1..qk}, Q disjoint from W0's templates, with
 	// delta(W0, Q) > alpha; grow k when unsuccessful. The frozen vector's
@@ -264,28 +254,7 @@ func (s *Sampler) Neighborhood(rng *rand.Rand, w0 *workload.Workload, gamma floa
 		results[i], errs[i] = s.SampleAt(sub, w0, alpha)
 	}
 
-	if p := s.workers(n); p == 1 {
-		for i := 0; i < n; i++ {
-			draw(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					draw(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	fanout.Each(s.Parallelism, n, draw)
 
 	// Merge in draw-index order so the output is independent of completion
 	// order; failed draws are dropped here.
@@ -316,21 +285,6 @@ func splitmix64(root, i uint64) uint64 {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// workers resolves the worker count for an n-draw neighborhood.
-func (s *Sampler) workers(n int) int {
-	p := s.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // countEvals adds Distance evaluations to the sampler's eval counter.

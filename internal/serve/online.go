@@ -140,6 +140,9 @@ func (s *Server) onlineOrErr(r *http.Request) (*tenant, *onlineState, error) {
 // warm-generation contract — same cost model across a controller's runs —
 // holds by construction).
 func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
+	if err := checkRunSize(spec.Samples, spec.Iterations); err != nil {
+		return nil, errBadRequest(err)
+	}
 	metric, err := resolveMetric(spec.Metric, t.eng.Schema().NumColumns())
 	if err != nil {
 		return nil, errBadRequest(err)

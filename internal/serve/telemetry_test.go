@@ -421,9 +421,19 @@ func TestFlightRecorder(t *testing.T) {
 	reencode(t, senv.Data, &ri)
 	pollRun(t, client, ts.URL+"/v1/tenants/flighty/runs/"+ri.ID)
 
-	_, env = call(t, client, "GET", ts.URL+"/v1/debug/runz", "", "")
+	// The worker records the final transition just after the run's handle
+	// reports done, so pollRun can see the run terminal first: poll runz
+	// until the transition into done lands, or the deadline passes and the
+	// check below fails.
 	var runz RunzInfo
-	reencode(t, env.Data, &runz)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, env = call(t, client, "GET", ts.URL+"/v1/debug/runz", "", "")
+		runz = RunzInfo{}
+		reencode(t, env.Data, &runz)
+		if hasTransition(runz, ri.ID, StatusDone) || time.Now().After(deadline) {
+			break
+		}
+	}
 	want := map[string]bool{string(StatusQueued): false, string(StatusRunning): false, string(StatusDone): false}
 	for _, tr := range runz.Transitions {
 		if tr.Run != ri.ID {
@@ -441,6 +451,16 @@ func TestFlightRecorder(t *testing.T) {
 			t.Fatalf("runz has no transition into %q: %+v", state, runz.Transitions)
 		}
 	}
+}
+
+// hasTransition reports whether runz holds run's transition into status.
+func hasTransition(runz RunzInfo, run string, status RunStatus) bool {
+	for _, tr := range runz.Transitions {
+		if tr.Run == run && tr.To == string(status) {
+			return true
+		}
+	}
+	return false
 }
 
 // The live service metrics: after real traffic, /metrics must expose the

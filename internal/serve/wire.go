@@ -140,9 +140,32 @@ type RunRequest struct {
 	MemberTimeout string   `json:"member_timeout,omitempty"`
 }
 
+// Bounds on the run sizes a /v1 body may ask for. The sampler allocates
+// O(samples) up front and every tenant shares the process, so an unbounded
+// request could exhaust memory for all of them. The largest benchmarked run
+// uses 80 samples and 25 iterations.
+const (
+	maxRunSamples    = 1000
+	maxRunIterations = 1000
+)
+
+// checkRunSize rejects samples or iterations beyond the /v1 bounds.
+func checkRunSize(samples, iterations int) error {
+	if samples > maxRunSamples {
+		return fmt.Errorf("samples must be <= %d, got %d", maxRunSamples, samples)
+	}
+	if iterations > maxRunIterations {
+		return fmt.Errorf("iterations must be <= %d, got %d", maxRunIterations, iterations)
+	}
+	return nil
+}
+
 func (r RunRequest) validate() error {
 	if r.Gamma <= 0 {
 		return fmt.Errorf("gamma must be > 0 (the nominal design needs no server)")
+	}
+	if err := checkRunSize(r.Samples, r.Iterations); err != nil {
+		return err
 	}
 	if _, err := resolveMetric(r.Metric, 1); err != nil {
 		return err
