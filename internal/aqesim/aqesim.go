@@ -44,8 +44,9 @@ type Sample struct {
 	Strata   []int // sorted stratification columns
 	Fraction float64
 
-	key  string
-	size int64
+	key    string
+	size   int64
+	strata workload.ColSet // Strata as a set
 }
 
 // NewSample builds a stratified sample over table. Fraction must lie in
@@ -59,7 +60,7 @@ func NewSample(s *schema.Schema, table string, strata []int, fraction float64) (
 	if fraction <= 0 || fraction >= 1 {
 		return nil, fmt.Errorf("aqesim: sample fraction %g outside (0,1)", fraction)
 	}
-	seen := make(map[int]bool)
+	var set workload.ColSet
 	var cols []int
 	groups := int64(1)
 	for _, c := range strata {
@@ -69,10 +70,10 @@ func NewSample(s *schema.Schema, table string, strata []int, fraction float64) (
 		if s.Column(c).Table != table {
 			return nil, fmt.Errorf("aqesim: column %s not in table %q", s.Column(c).Qualified(), table)
 		}
-		if seen[c] {
+		if set.Has(c) {
 			continue
 		}
-		seen[c] = true
+		set.Add(c)
 		cols = append(cols, c)
 		if card := s.Column(c).Cardinality; card > 0 && groups < t.Rows {
 			groups *= card
@@ -86,7 +87,7 @@ func NewSample(s *schema.Schema, table string, strata []int, fraction float64) (
 	if need := float64(groups*minGroupRows) / float64(t.Rows); fraction < need {
 		fraction = math.Min(need, 0.5)
 	}
-	sm := &Sample{Table: table, Strata: cols, Fraction: fraction}
+	sm := &Sample{Table: table, Strata: cols, Fraction: fraction, strata: set}
 	sm.size = int64(float64(t.Rows*t.RowWidth()) * fraction)
 	parts := make([]string, len(cols))
 	for i, c := range cols {
@@ -112,10 +113,9 @@ func (s *Sample) Describe() string {
 		s.Table, strings.Join(parts, ","), s.Fraction, s.size/(1<<20))
 }
 
-// StrataSet returns the stratification columns as a set.
-func (s *Sample) StrataSet() workload.ColSet {
-	return workload.NewColSet(s.Strata...)
-}
+// StrataSet returns the stratification columns as a set, precomputed by
+// NewSample. The set is shared: callers must not mutate it.
+func (s *Sample) StrataSet() workload.ColSet { return s.strata }
 
 // DB is the approximate engine's cost model. It implements
 // designer.CostModel. The memo cache is sharded for CliffGuard's parallel
@@ -192,19 +192,29 @@ func (db *DB) answerable(q *workload.Query, sm *Sample) bool {
 	return true
 }
 
+// check validates that the query is costable: a spec over a known table
+// whose referenced columns all belong to it. The common case is one set
+// containment against the table's column set; only a query that fails it
+// walks its columns to name the first offender.
 func (db *DB) check(q *workload.Query) error {
 	if q == nil || q.Spec == nil {
 		return fmt.Errorf("aqesim: query without spec: %w", designer.ErrUnsupported)
 	}
-	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
+	t, ok := db.Schema.Table(q.Spec.Table)
+	if !ok {
 		return fmt.Errorf("aqesim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
-		if !db.Schema.ValidID(c) || db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("aqesim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
-		}
+	if q.ColumnsWithin(t.ColumnSet()) {
+		return nil
 	}
-	return nil
+	var err error
+	q.EachColumn(func(c int) bool {
+		if !db.Schema.ValidID(c) || db.Schema.Column(c).Table != q.Spec.Table {
+			err = fmt.Errorf("aqesim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
+		}
+		return err == nil
+	})
+	return err
 }
 
 func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
@@ -225,9 +235,10 @@ func (db *DB) computePathCost(q *workload.Query, sm *Sample) float64 {
 		fraction = sm.Fraction
 	}
 	var width float64
-	for _, c := range q.Spec.ReferencedCols() {
+	q.EachColumn(func(c int) bool {
 		width += float64(db.Schema.Column(c).Type.Width())
-	}
+		return true
+	})
 	scanned := math.Max(rows*fraction, 1)
 	sel := 1.0
 	for _, p := range q.Spec.Preds {

@@ -118,13 +118,28 @@ func TestCostModelSamplePaths(t *testing.T) {
 	}
 }
 
+// TestCostUnsupported pins every ErrUnsupported message, including which
+// column is named when several are off the anchor (the lowest ID).
 func TestCostUnsupported(t *testing.T) {
-	db := Open(testSchema())
-	if _, err := db.Cost(context.Background(), &workload.Query{}, nil); !errors.Is(err, designer.ErrUnsupported) {
-		t.Error("spec-less query")
+	db := Open(twoTableSchema())
+	const suffix = ": designer: query not supported by this engine"
+	cases := []struct {
+		q    *workload.Query
+		want string
+	}{
+		{nil, "aqesim: query without spec"},
+		{&workload.Query{ID: 1}, "aqesim: query without spec"},
+		{q(&workload.Spec{Table: "nope"}), `aqesim: unknown table "nope"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{4}}), `aqesim: column 4 outside anchor "f"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{0, 99}}), `aqesim: column 99 outside anchor "f"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{99},
+			Preds: []workload.Pred{{Col: 4, Op: workload.Eq, Sel: 0.5}}}), `aqesim: column 4 outside anchor "f"`},
 	}
-	if _, err := db.Cost(context.Background(), q(&workload.Spec{Table: "zzz"}), nil); !errors.Is(err, designer.ErrUnsupported) {
-		t.Error("unknown table")
+	for i, c := range cases {
+		_, err := db.Cost(context.Background(), c.q, nil)
+		if !errors.Is(err, designer.ErrUnsupported) || err.Error() != c.want+suffix {
+			t.Errorf("case %d: err = %v, want %q", i, err, c.want+suffix)
+		}
 	}
 }
 

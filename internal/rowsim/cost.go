@@ -90,10 +90,11 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if db.met != nil {
 		db.met.CostModelCalls.Inc()
 	}
-	if err := db.check(q); err != nil {
+	t, err := db.check(q)
+	if err != nil {
 		return 0, err
 	}
-	best := db.pathCost(q, "", func() float64 { return db.scanCost(q) })
+	best := db.pathCost(q, "", func() float64 { return db.scanCost(q, t) })
 	if d != nil {
 		for _, s := range d.Structures {
 			switch st := s.(type) {
@@ -101,14 +102,14 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 				if st.Table != q.Spec.Table {
 					continue
 				}
-				if c, ok := db.indexCost(q, st); ok && c < best {
+				if c, ok := db.indexCost(q, t, st); ok && c < best {
 					best = c
 				}
 			case *MatView:
 				if st.Table != q.Spec.Table {
 					continue
 				}
-				if c, ok := db.mvCost(q, st); ok && c < best {
+				if c, ok := db.mvCost(q, t, st); ok && c < best {
 					best = c
 				}
 			}
@@ -120,11 +121,12 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 // bestAccess returns the chosen structure (nil = full scan) and its cost;
 // the executor follows this decision.
 func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Structure, float64, error) {
-	if err := db.check(q); err != nil {
+	t, err := db.check(q)
+	if err != nil {
 		return nil, 0, err
 	}
 	var bestS designer.Structure
-	best := db.scanCost(q)
+	best := db.scanCost(q, t)
 	if d != nil {
 		for _, s := range d.Structures {
 			switch st := s.(type) {
@@ -132,14 +134,14 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 				if st.Table != q.Spec.Table {
 					continue
 				}
-				if c, ok := db.indexCost(q, st); ok && c < best {
+				if c, ok := db.indexCost(q, t, st); ok && c < best {
 					best, bestS = c, st
 				}
 			case *MatView:
 				if st.Table != q.Spec.Table {
 					continue
 				}
-				if c, ok := db.mvCost(q, st); ok && c < best {
+				if c, ok := db.mvCost(q, t, st); ok && c < best {
 					best, bestS = c, st
 				}
 			}
@@ -148,28 +150,41 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 	return bestS, best, nil
 }
 
-func (db *DB) check(q *workload.Query) error {
+// check validates that the query is costable — a spec over a known table
+// whose referenced columns all belong to it — and returns that table. The
+// common case is one set containment against the table's column set; only a
+// query that fails it walks its columns to name the first offender.
+func (db *DB) check(q *workload.Query) (*schema.Table, error) {
 	if q == nil || q.Spec == nil {
-		return fmt.Errorf("rowsim: query without spec: %w", designer.ErrUnsupported)
+		return nil, fmt.Errorf("rowsim: query without spec: %w", designer.ErrUnsupported)
 	}
-	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
-		return fmt.Errorf("rowsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
+	t, ok := db.Schema.Table(q.Spec.Table)
+	if !ok {
+		return nil, fmt.Errorf("rowsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
+	if q.ColumnsWithin(t.ColumnSet()) {
+		return t, nil
+	}
+	var err error
+	q.EachColumn(func(c int) bool {
 		if !db.Schema.ValidID(c) || db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("rowsim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
+			err = fmt.Errorf("rowsim: column %d outside anchor %q: %w", c, q.Spec.Table, designer.ErrUnsupported)
 		}
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return t, nil
 }
 
 func (db *DB) pathCost(q *workload.Query, pathKey string, compute func() float64) float64 {
 	return db.memo.GetOrCompute(q, pathKey, compute)
 }
 
-// scanCost is a full-table scan: the row store reads entire rows.
-func (db *DB) scanCost(q *workload.Query) float64 {
-	t, _ := db.Schema.Table(q.Spec.Table)
+// scanCost is a full-table scan of t, q's table: the row store reads
+// entire rows.
+func (db *DB) scanCost(q *workload.Query, t *schema.Table) float64 {
 	rows := db.rows(t)
 	cost := fixedOverheadMs + rows*float64(t.RowWidth())/scanBytesPerMs
 	return cost + db.postCost(q, rows*totalSel(q.Spec))
@@ -177,8 +192,8 @@ func (db *DB) scanCost(q *workload.Query) float64 {
 
 // indexCost estimates access via an index, if applicable: the query must
 // have an equality-prefix (optionally ending in one range) on the index key.
-// A covering index avoids base-table fetches entirely.
-func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
+// A covering index avoids base-table fetches entirely. t is q's table.
+func (db *DB) indexCost(q *workload.Query, t *schema.Table, idx *Index) (float64, bool) {
 	spec := q.Spec
 	matchSel := 1.0
 	matched := 0
@@ -196,18 +211,17 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
 	if matched == 0 {
 		return 0, false
 	}
-	t, _ := db.Schema.Table(spec.Table)
 	rows := db.rows(t)
 	fetched := math.Max(rows*matchSel, 1)
 
 	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(rows+2)
-	need := refColsSet(q)
-	if idx.AllCols().Contains(need) {
+	if q.ColumnsWithin(idx.AllCols()) {
 		// Index-only scan over the matched range.
 		var width float64
-		for _, c := range need.IDs() {
+		q.EachColumn(func(c int) bool {
 			width += float64(db.Schema.Column(c).Type.Width())
-		}
+			return true
+		})
 		cost += fetched * width / scanBytesPerMs
 	} else {
 		// Base-table fetch per matched row, with random access penalty.
@@ -220,8 +234,8 @@ func (db *DB) indexCost(q *workload.Query, idx *Index) (float64, bool) {
 // group-by must be a subset of the view's, every aggregate precomputed, no
 // bare select columns beyond group-by columns, and predicates restricted to
 // the view's group-by columns. Note the subset rule: re-aggregation rolls
-// finer groups up into coarser ones.
-func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
+// finer groups up into coarser ones. t is q's table.
+func (db *DB) mvCost(q *workload.Query, t *schema.Table, mv *MatView) (float64, bool) {
 	spec := q.Spec
 	if len(spec.GroupBy) == 0 || len(spec.Aggs) == 0 {
 		return 0, false
@@ -249,7 +263,7 @@ func (db *DB) mvCost(q *workload.Query, mv *MatView) (float64, bool) {
 			return 0, false
 		}
 	}
-	mvRows := math.Min(float64(mv.Groups()), db.rows(mustTable(db.Schema, spec.Table)))
+	mvRows := math.Min(float64(mv.Groups()), db.rows(t))
 	var width float64
 	for _, c := range mv.GroupBy {
 		width += float64(db.Schema.Column(c).Type.Width())
@@ -290,14 +304,6 @@ func totalSel(spec *workload.Spec) float64 {
 	return s
 }
 
-func refColsSet(q *workload.Query) workload.ColSet {
-	var set workload.ColSet
-	for _, c := range q.Spec.ReferencedCols() {
-		set.Add(c)
-	}
-	return set
-}
-
 func predOn(preds []workload.Pred, col int) (workload.Pred, bool) {
 	for _, p := range preds {
 		if p.Col == col {
@@ -315,14 +321,6 @@ func clampSel(s float64) float64 {
 		return 1
 	}
 	return s
-}
-
-func mustTable(s *schema.Schema, name string) *schema.Table {
-	t, ok := s.Table(name)
-	if !ok {
-		panic("rowsim: unknown table " + name)
-	}
-	return t
 }
 
 // NewIndex builds an index whose modeled size reflects this instance's
@@ -347,7 +345,8 @@ func (db *DB) NewMatView(table string, groupBy []int, aggs []workload.Agg) (*Mat
 	}
 	if f := db.RowFraction; f > 0 && f < 1 {
 		scaled := int64(float64(mv.groups) * 1) // group count does not scale linearly with rows
-		rows := int64(db.rows(mustTable(db.Schema, table)))
+		t, _ := db.Schema.Table(table)          // NewMatView validated it
+		rows := int64(db.rows(t))
 		if scaled > rows {
 			mv.size = mv.size / maxI64(mv.groups/rows, 1)
 			mv.groups = rows

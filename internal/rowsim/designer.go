@@ -80,16 +80,18 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 // and covering) and materialized views for aggregate templates.
 func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 	cw = designer.CompressByTemplate(cw) // idempotent; callers may pass raw workloads
+	// cols is the template's referenced-column set, built once.
 	type wq struct {
 		q      *workload.Query
 		weight float64
+		cols   workload.ColSet
 	}
 	var wqs []wq
 	for _, it := range cw.Items {
-		if d.DB.check(it.Q) != nil {
+		if _, err := d.DB.check(it.Q); err != nil {
 			continue
 		}
-		wqs = append(wqs, wq{it.Q, it.Weight})
+		wqs = append(wqs, wq{it.Q, it.Weight, it.Q.Columns()})
 	}
 	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
 
@@ -125,10 +127,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 	}
 	var clusters []*cluster
 	for _, e := range wqs {
-		var cols workload.ColSet
-		for _, c := range e.q.Spec.ReferencedCols() {
-			cols.Add(c)
-		}
+		cols := e.cols
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {
@@ -241,11 +240,10 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			add(d.DB.NewIndex(spec.Table, keyCols, nil))
 			// Covering index: include the rest of the referenced columns if
 			// the query is narrow enough to make index-only plans plausible.
-			ref := spec.ReferencedCols()
-			if len(ref) <= 8 {
+			if e.cols.Len() <= 8 {
 				var include []int
 				keySet := workload.NewColSet(keyCols...)
-				for _, c := range ref {
+				for _, c := range e.cols.IDs() {
 					if !keySet.Has(c) {
 						include = append(include, c)
 					}

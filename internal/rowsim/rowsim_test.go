@@ -197,13 +197,28 @@ func TestRowFractionScalesCosts(t *testing.T) {
 	}
 }
 
+// TestCostUnsupported pins every ErrUnsupported message, including which
+// column is named when several are off the anchor (the lowest ID).
 func TestCostUnsupported(t *testing.T) {
-	db := Open(testSchema())
-	if _, err := db.Cost(context.Background(), &workload.Query{ID: 1}, nil); !errors.Is(err, designer.ErrUnsupported) {
-		t.Error("spec-less query should be unsupported")
+	db := Open(twoTableSchema())
+	const suffix = ": designer: query not supported by this engine"
+	cases := []struct {
+		q    *workload.Query
+		want string
+	}{
+		{nil, "rowsim: query without spec"},
+		{&workload.Query{ID: 1}, "rowsim: query without spec"},
+		{q(&workload.Spec{Table: "nope"}), `rowsim: unknown table "nope"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{3}}), `rowsim: column 3 outside anchor "f"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{0, 99}}), `rowsim: column 99 outside anchor "f"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{99},
+			Preds: []workload.Pred{{Col: 3, Op: workload.Eq, Sel: 0.5}}}), `rowsim: column 3 outside anchor "f"`},
 	}
-	if _, err := db.Cost(context.Background(), q(&workload.Spec{Table: "zzz"}), nil); !errors.Is(err, designer.ErrUnsupported) {
-		t.Error("unknown table should be unsupported")
+	for i, c := range cases {
+		_, err := db.Cost(context.Background(), c.q, nil)
+		if !errors.Is(err, designer.ErrUnsupported) || err.Error() != c.want+suffix {
+			t.Errorf("case %d: err = %v, want %q", i, err, c.want+suffix)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ type Index struct {
 
 	key  string
 	size int64
+	all  workload.ColSet // Cols ∪ Include
 }
 
 // rowIDWidth is the per-entry pointer overhead of an index leaf.
@@ -43,16 +44,16 @@ func NewIndex(s *schema.Schema, table string, cols, include []int) (*Index, erro
 		return nil, fmt.Errorf("rowsim: index on %q has no key columns", table)
 	}
 	var width int64 = rowIDWidth
-	seen := make(map[int]bool)
+	var all workload.ColSet
 	var keyCols []int
 	for _, c := range cols {
 		if err := checkCol(s, table, c); err != nil {
 			return nil, err
 		}
-		if seen[c] {
+		if all.Has(c) {
 			continue
 		}
-		seen[c] = true
+		all.Add(c)
 		keyCols = append(keyCols, c)
 		width += s.Column(c).Type.Width()
 	}
@@ -61,15 +62,15 @@ func NewIndex(s *schema.Schema, table string, cols, include []int) (*Index, erro
 		if err := checkCol(s, table, c); err != nil {
 			return nil, err
 		}
-		if seen[c] {
+		if all.Has(c) {
 			continue
 		}
-		seen[c] = true
+		all.Add(c)
 		inc = append(inc, c)
 		width += s.Column(c).Type.Width()
 	}
 	sort.Ints(inc)
-	idx := &Index{Table: table, Cols: keyCols, Include: inc}
+	idx := &Index{Table: table, Cols: keyCols, Include: inc, all: all}
 	idx.size = t.Rows * width
 	idx.key = fmt.Sprintf("idx:%s:%s:inc=%s", table, intsKey(keyCols), intsKey(inc))
 	return idx, nil
@@ -97,17 +98,10 @@ func (i *Index) Describe() string {
 		i.Table, intsKey(i.Cols), intsKey(i.Include), i.size/(1<<20))
 }
 
-// AllCols returns the union of key and included columns.
-func (i *Index) AllCols() workload.ColSet {
-	var set workload.ColSet
-	for _, c := range i.Cols {
-		set.Add(c)
-	}
-	for _, c := range i.Include {
-		set.Add(c)
-	}
-	return set
-}
+// AllCols returns the union of key and included columns, precomputed by
+// NewIndex so the cost model's index-only test allocates nothing. The set is
+// shared: callers must not mutate it.
+func (i *Index) AllCols() workload.ColSet { return i.all }
 
 // MatView is an aggregate materialized view: precomputed aggregates grouped
 // by a column set. It implements designer.Structure.
@@ -118,7 +112,8 @@ type MatView struct {
 
 	key    string
 	size   int64
-	groups int64 // estimated number of groups
+	groups int64           // estimated number of groups
+	gset   workload.ColSet // GroupBy as a set
 }
 
 // NewMatView builds a materialized view over table grouped by groupBy with
@@ -131,7 +126,7 @@ func NewMatView(s *schema.Schema, table string, groupBy []int, aggs []workload.A
 	if len(groupBy) == 0 {
 		return nil, fmt.Errorf("rowsim: materialized view on %q has no group-by columns", table)
 	}
-	seen := make(map[int]bool)
+	var gset workload.ColSet
 	var gb []int
 	var width int64
 	groups := int64(1)
@@ -139,10 +134,10 @@ func NewMatView(s *schema.Schema, table string, groupBy []int, aggs []workload.A
 		if err := checkCol(s, table, c); err != nil {
 			return nil, err
 		}
-		if seen[c] {
+		if gset.Has(c) {
 			continue
 		}
-		seen[c] = true
+		gset.Add(c)
 		gb = append(gb, c)
 		width += s.Column(c).Type.Width()
 		card := s.Column(c).Cardinality
@@ -176,7 +171,7 @@ func NewMatView(s *schema.Schema, table string, groupBy []int, aggs []workload.A
 	if len(dedupAggs) == 0 {
 		return nil, fmt.Errorf("rowsim: materialized view on %q has no aggregates", table)
 	}
-	mv := &MatView{Table: table, GroupBy: gb, Aggs: dedupAggs, groups: groups}
+	mv := &MatView{Table: table, GroupBy: gb, Aggs: dedupAggs, groups: groups, gset: gset}
 	mv.size = groups * width
 	var ab strings.Builder
 	for i, a := range dedupAggs {
@@ -225,14 +220,9 @@ func (m *MatView) hasExact(a workload.Agg) bool {
 	return false
 }
 
-// GroupSet returns the group-by columns as a set.
-func (m *MatView) GroupSet() workload.ColSet {
-	var set workload.ColSet
-	for _, c := range m.GroupBy {
-		set.Add(c)
-	}
-	return set
-}
+// GroupSet returns the group-by columns as a set, precomputed by NewMatView.
+// The set is shared: callers must not mutate it.
+func (m *MatView) GroupSet() workload.ColSet { return m.gset }
 
 func intsKey(xs []int) string {
 	parts := make([]string, len(xs))

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"cliffguard/internal/workload"
 )
 
 // ColumnType enumerates the value types the synthetic engines store.
@@ -74,7 +76,14 @@ type Table struct {
 	// Fact marks anchor (fact) tables: tables that queries aggregate over and
 	// that physical-design structures are anchored to.
 	Fact bool
+
+	cols workload.ColSet // global IDs of Columns, filled by New
 }
+
+// ColumnSet returns the global IDs of the table's columns as a set. New
+// precomputes it; a Table built any other way reports the empty set. The set
+// is shared: callers must not mutate it.
+func (t *Table) ColumnSet() workload.ColSet { return t.cols }
 
 // ColumnIDs returns the global IDs of the table's columns in declaration order.
 func (t *Table) ColumnIDs() []int {
@@ -175,6 +184,7 @@ func New(defs []TableDef) (*Schema, error) {
 			}
 			nextID++
 			t.Columns = append(t.Columns, col)
+			t.cols.Add(col.ID)
 			s.columns = append(s.columns, col)
 			s.qualified[col.Qualified()] = col.ID
 			if _, clash := s.unique[cd.Name]; clash {

@@ -96,7 +96,7 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 			if !ok || p.Anchor != q.Spec.Table {
 				continue
 			}
-			if !p.Covers(refCols(q)) {
+			if !q.ColumnsWithin(p.Cols) {
 				continue
 			}
 			if c := db.pathCost(q, p); c < best {
@@ -119,7 +119,7 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 	if d != nil {
 		for _, s := range d.Structures {
 			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table || !p.Covers(refCols(q)) {
+			if !ok || p.Anchor != q.Spec.Table || !q.ColumnsWithin(p.Cols) {
 				continue
 			}
 			if c := db.pathCost(q, p); c < best {
@@ -132,32 +132,31 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 
 // check validates that the query is within the simulator's costable subset:
 // a spec over a single known anchor table whose referenced columns all
-// belong to that table.
+// belong to that table. The common case is one set containment against the
+// anchor's column set; only a query that fails it walks its columns to name
+// the first offender.
 func (db *DB) check(q *workload.Query) error {
 	if q == nil || q.Spec == nil {
 		return fmt.Errorf("vertsim: query without spec: %w", designer.ErrUnsupported)
 	}
-	if _, ok := db.Schema.Table(q.Spec.Table); !ok {
+	t, ok := db.Schema.Table(q.Spec.Table)
+	if !ok {
 		return fmt.Errorf("vertsim: unknown table %q: %w", q.Spec.Table, designer.ErrUnsupported)
 	}
-	for _, c := range q.Spec.ReferencedCols() {
+	if q.ColumnsWithin(t.ColumnSet()) {
+		return nil
+	}
+	var err error
+	q.EachColumn(func(c int) bool {
 		if !db.Schema.ValidID(c) {
-			return fmt.Errorf("vertsim: invalid column %d: %w", c, designer.ErrUnsupported)
-		}
-		if db.Schema.Column(c).Table != q.Spec.Table {
-			return fmt.Errorf("vertsim: column %s outside anchor %q: %w",
+			err = fmt.Errorf("vertsim: invalid column %d: %w", c, designer.ErrUnsupported)
+		} else if db.Schema.Column(c).Table != q.Spec.Table {
+			err = fmt.Errorf("vertsim: column %s outside anchor %q: %w",
 				db.Schema.Column(c).Qualified(), q.Spec.Table, designer.ErrUnsupported)
 		}
-	}
-	return nil
-}
-
-func refCols(q *workload.Query) workload.ColSet {
-	var set workload.ColSet
-	for _, c := range q.Spec.ReferencedCols() {
-		set.Add(c)
-	}
-	return set
+		return err == nil
+	})
+	return err
 }
 
 // pathCost estimates latency of q via projection p (nil = super-projection),
@@ -187,9 +186,10 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 	rows := float64(t.Rows)
 
 	var width float64
-	for _, c := range q.Spec.ReferencedCols() {
+	q.EachColumn(func(c int) bool {
 		width += float64(db.Schema.Column(c).Type.Width())
-	}
+		return true
+	})
 
 	prefixSel := 1.0
 	var sortCols []workload.OrderCol

@@ -45,10 +45,12 @@ func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.
 	return designer.GreedySelect(ctx, d.DB, cw, cands, d.Budget)
 }
 
-// weightedQuery pairs a representative query with its template weight.
+// weightedQuery pairs a representative query with its template weight and
+// its referenced-column set, built once per template.
 type weightedQuery struct {
 	q      *workload.Query
 	weight float64
+	cols   workload.ColSet
 }
 
 // Candidates generates the candidate projection pool for a (compressed)
@@ -61,7 +63,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 		if d.DB.check(it.Q) != nil {
 			continue
 		}
-		wqs = append(wqs, weightedQuery{it.Q, it.Weight})
+		wqs = append(wqs, weightedQuery{it.Q, it.Weight, it.Q.Columns()})
 	}
 	sort.SliceStable(wqs, func(i, j int) bool { return wqs[i].weight > wqs[j].weight })
 	maxCand := d.MaxCandidates
@@ -89,7 +91,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 			break
 		}
 		spec := wq.q.Spec
-		cols := spec.ReferencedCols()
+		cols := wq.cols.IDs()
 
 		// Primary: sort by most-selective predicates, then group-by.
 		add(NewProjection(d.DB.Schema, spec.Table, cols, d.sortKey(spec, false)))
@@ -119,7 +121,7 @@ func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
 	var clusters []*cluster
 	const maxClusterCols = 22
 	for _, wq := range wqs {
-		cols := refCols(wq.q)
+		cols := wq.cols
 		var best *cluster
 		bestJ := 0.0
 		for _, cl := range clusters {

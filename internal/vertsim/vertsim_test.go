@@ -178,16 +178,27 @@ func TestCostModelMonotoneInDesign(t *testing.T) {
 	}
 }
 
+// TestCostUnsupportedQueries pins every ErrUnsupported message, including
+// which column is named when several are off the anchor (the lowest ID).
 func TestCostUnsupportedQueries(t *testing.T) {
 	db := Open(testSchema())
-	cases := []*workload.Query{
-		{ID: 1},                          // no spec
-		q(&workload.Spec{Table: "nope"}), // unknown table
-		q(&workload.Spec{Table: "f", SelectCols: []int{6}}), // column of dim
+	const suffix = ": designer: query not supported by this engine"
+	cases := []struct {
+		q    *workload.Query
+		want string
+	}{
+		{nil, "vertsim: query without spec"},
+		{&workload.Query{ID: 1}, "vertsim: query without spec"},
+		{q(&workload.Spec{Table: "nope"}), `vertsim: unknown table "nope"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{6}}), `vertsim: column dim.k outside anchor "f"`},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{0, 99}}), "vertsim: invalid column 99"},
+		{q(&workload.Spec{Table: "f", SelectCols: []int{99},
+			Preds: []workload.Pred{{Col: 6, Op: workload.Eq, Sel: 0.5}}}), `vertsim: column dim.k outside anchor "f"`},
 	}
-	for i, query := range cases {
-		if _, err := db.Cost(context.Background(), query, nil); !errors.Is(err, designer.ErrUnsupported) {
-			t.Errorf("case %d: err = %v, want ErrUnsupported", i, err)
+	for i, c := range cases {
+		_, err := db.Cost(context.Background(), c.q, nil)
+		if !errors.Is(err, designer.ErrUnsupported) || err.Error() != c.want+suffix {
+			t.Errorf("case %d: err = %v, want %q", i, err, c.want+suffix)
 		}
 	}
 }

@@ -29,6 +29,14 @@ func (s *ColSet) grow(word int) {
 	}
 }
 
+// word returns the i-th bitset word, or 0 past the end.
+func (s ColSet) word(i int) uint64 {
+	if i < len(s.words) {
+		return s.words[i]
+	}
+	return 0
+}
+
 // Add inserts a column ID. Negative IDs panic.
 func (s *ColSet) Add(id int) {
 	if id < 0 {

@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,6 +128,14 @@ type Spec struct {
 }
 
 // Query is one workload query: its clause column sets, timestamp, and Spec.
+//
+// Clause-set invariant: when the Query comes from FromSpec (the only
+// constructor that fills the clause sets), the union of Select, Where,
+// GroupBy and OrderBy is exactly Spec.ReferencedCols(). The engines' what-if
+// cost models rely on it: they check and cover a query through ColumnsWithin
+// and EachColumn, reading the sets the query already carries instead of
+// rebuilding them from the Spec on every call. Code that edits a Spec must
+// build a fresh Query with FromSpec rather than patch the sets by hand.
 type Query struct {
 	ID        int64
 	Timestamp time.Time
@@ -141,7 +150,8 @@ type Query struct {
 	Spec *Spec
 }
 
-// FromSpec builds a Query whose clause sets are derived from the Spec.
+// FromSpec builds a Query whose clause sets are derived from the Spec, so
+// their union is exactly spec.ReferencedCols() (the Query invariant).
 func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 	q := &Query{ID: id, Timestamp: ts, Spec: spec}
 	for _, c := range spec.SelectCols {
@@ -168,6 +178,32 @@ func FromSpec(id int64, ts time.Time, spec *Spec) *Query {
 // "union of all the columns that appear in it" representation).
 func (q *Query) Columns() ColSet {
 	return q.Select.Union(q.Where).Union(q.GroupBy).Union(q.OrderBy)
+}
+
+// ColumnsWithin reports whether every column the query references is in s.
+// It is s.Contains over the four clause sets, with no union built, so it
+// never allocates.
+func (q *Query) ColumnsWithin(s ColSet) bool {
+	return s.Contains(q.Select) && s.Contains(q.Where) &&
+		s.Contains(q.GroupBy) && s.Contains(q.OrderBy)
+}
+
+// EachColumn calls yield with every column the query references, in
+// ascending order and once each, stopping early if yield returns false. It
+// walks the union of the four clause sets word by word without building it,
+// so it never allocates.
+func (q *Query) EachColumn(yield func(id int) bool) {
+	n := max(len(q.Select.words), len(q.Where.words), len(q.GroupBy.words), len(q.OrderBy.words))
+	for wi := 0; wi < n; wi++ {
+		w := q.Select.word(wi) | q.Where.word(wi) | q.GroupBy.word(wi) | q.OrderBy.word(wi)
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			if !yield(wi*64 + b) {
+				return
+			}
+			w &^= 1 << uint(b)
+		}
+	}
 }
 
 // Clause identifies one of the four SQL clauses tracked per query.
