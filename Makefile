@@ -39,9 +39,10 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz of the SQL and DDL parsers, the JSONL stream decoders, the ILP
-# solver's brute-force cross-check, /v1 run-request decoding, and multi-line
-# SQL log ingestion (with the what-if cost model on what it accepts), on top
-# of the checked-in corpora (go's -fuzz takes one target per invocation).
+# solver's brute-force cross-check, /v1 run-request decoding, multi-line SQL
+# log ingestion (with the what-if cost model on what it accepts), and the
+# online controller's observe stream (warm vs cold re-designs), on top of the
+# checked-in corpora (go's -fuzz takes one target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sqlparse/
 	$(GO) test -fuzz=FuzzParseSchema -fuzztime=5s ./internal/sqlparse/
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzILPSolve -fuzztime=5s ./internal/ilp/
 	$(GO) test -fuzz=FuzzRunRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzReader -fuzztime=5s ./internal/ingest/
+	$(GO) test -fuzz=FuzzObserve -fuzztime=5s ./internal/online/
 
 # Regression-lock the run-analysis math: the golden event stream must
 # summarize to exactly the checked-in expected summary. After an intentional

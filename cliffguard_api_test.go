@@ -206,3 +206,64 @@ func TestApproxEngineAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWithEvalMemoWarmStart: a run over WithEvalMemo(db, nil, gen) records
+// its unit costs into gen, and a re-run over WithEvalMemo(db, gen, nil)
+// returns the same design without passing a single call to the engine.
+func TestWithEvalMemoWarmStart(t *testing.T) {
+	s, err := cliffguard.NewSchema([]cliffguard.TableDef{{
+		Name: "orders", Fact: true, Rows: 200_000,
+		Columns: []cliffguard.ColumnDef{
+			{Name: "id", Type: cliffguard.Int64, Cardinality: 200_000},
+			{Name: "cust", Type: cliffguard.Int64, Cardinality: 5_000},
+			{Name: "day", Type: cliffguard.Int64, Cardinality: 365},
+			{Name: "region", Type: cliffguard.String, Cardinality: 20},
+			{Name: "total", Type: cliffguard.Float64, Cardinality: 50_000},
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parser := cliffguard.NewParser(s)
+	w := cliffguard.NewWorkload()
+	for _, sql := range []string{
+		"SELECT region, COUNT(*), SUM(total) FROM orders WHERE cust = 99 GROUP BY region",
+		"SELECT id, total FROM orders WHERE day BETWEEN 100 AND 120 ORDER BY total DESC LIMIT 20",
+	} {
+		q, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Add(q, 1)
+	}
+	opts := cliffguard.Options{Gamma: 0.01, Samples: 6, Iterations: 2, Seed: 3, Parallelism: 1}
+	design := func(cost cliffguard.CostModel, db cliffguard.Engine) *cliffguard.Design {
+		guard, err := cliffguard.New(db.NominalDesigner(256<<20), cost, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := guard.Design(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	gen := cliffguard.NewEvalGeneration()
+	db := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	cold := cliffguard.WithEvalMemo(db, nil, gen)
+	coldD := design(cold, db)
+	if gen.Len() == 0 || cold.Misses() == 0 {
+		t.Fatalf("cold run recorded %d entries over %d engine calls", gen.Len(), cold.Misses())
+	}
+
+	db2 := openEngine(t, cliffguard.EngineSpec{Kind: cliffguard.EngineVertica, Schema: s})
+	warm := cliffguard.WithEvalMemo(db2, gen, nil)
+	warmD := design(warm, db2)
+	if warm.Misses() != 0 || warm.Hits() == 0 {
+		t.Fatalf("warm run: %d hits, %d engine calls; want hits and no calls", warm.Hits(), warm.Misses())
+	}
+	if warmD.Fingerprint() != coldD.Fingerprint() {
+		t.Fatalf("warm design %s differs from cold %s", warmD, coldD)
+	}
+}

@@ -6,13 +6,11 @@ import (
 	"sync"
 
 	"cliffguard/internal/designer"
-	"cliffguard/internal/evalcache"
 	"cliffguard/internal/workload"
 )
 
 // RunStats are a run's scalar outcomes beyond the design itself: the
-// worst-case costs of the initial competitors and of the returned design,
-// plus the warm-start tally. All cost fields are worst-case costs over the
+// worst-case costs of the initial competitors and of the returned design. All cost fields are worst-case costs over the
 // run's sampled Gamma-neighborhood; they are meaningful only for Gamma > 0
 // (a Gamma = 0 run never samples a neighborhood and returns zero stats).
 type RunStats struct {
@@ -32,9 +30,6 @@ type RunStats struct {
 	// from the better of the two initial designs and only ever accepts
 	// strictly improving moves.
 	FinalWorst float64
-	// WarmHits counts evaluation-layer unit costs served from the imported
-	// Options.WarmStart generation.
-	WarmHits uint64
 }
 
 // RunState is the lifecycle state of one asynchronous robust-design run.
@@ -69,7 +64,6 @@ type RunHandle struct {
 	design *designer.Design
 	traces []Trace
 	stats  RunStats
-	gen    *evalcache.Shared
 	err    error
 }
 
@@ -85,15 +79,15 @@ func (cg *CliffGuard) Start(ctx context.Context, w0 *workload.Workload) *RunHand
 	h := &RunHandle{cancel: cancel, done: make(chan struct{}), state: RunRunning}
 	go func() {
 		defer cancel()
-		d, traces, stats, gen, err := cg.run(runCtx, w0)
-		h.finish(d, traces, stats, gen, err)
+		d, traces, stats, err := cg.run(runCtx, w0)
+		h.finish(d, traces, stats, err)
 	}()
 	return h
 }
 
-func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, gen *evalcache.Shared, err error) {
+func (h *RunHandle) finish(d *designer.Design, traces []Trace, stats RunStats, err error) {
 	h.mu.Lock()
-	h.design, h.traces, h.stats, h.gen, h.err = d, traces, stats, gen, err
+	h.design, h.traces, h.stats, h.err = d, traces, stats, err
 	switch {
 	case err == nil:
 		h.state = RunDone
@@ -149,13 +143,4 @@ func (h *RunHandle) Stats() RunStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.stats
-}
-
-// Generation returns the run's exported unit-cost generation — the warm-start
-// handoff for the next run over an overlapping workload. nil unless
-// Options.ExportGeneration was set and the run finished successfully.
-func (h *RunHandle) Generation() *evalcache.Shared {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.gen
 }

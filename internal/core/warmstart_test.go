@@ -9,6 +9,7 @@ import (
 
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/sample"
 	"cliffguard/internal/schema"
 	"cliffguard/internal/vertsim"
@@ -29,58 +30,70 @@ func (c *tallyCost) Cost(ctx context.Context, q *workload.Query, d *designer.Des
 // newTallyGuard is newGuard with the evaluation cost model wrapped in a call
 // counter (the nominal designer keeps the raw engine, as in the benches).
 func newTallyGuard(s *schema.Schema, opts Options) (*CliffGuard, *tallyCost) {
+	return newMemoGuard(s, opts, func(cm designer.CostModel) designer.CostModel { return cm })
+}
+
+// newMemoGuard is newTallyGuard with the counted cost model passed through
+// wrap before the loop sees it — how a warm start is assembled: the loop
+// gets evalcache.Over(counted, warm, export) as its plain cost model.
+func newMemoGuard(s *schema.Schema, opts Options, wrap func(designer.CostModel) designer.CostModel) (*CliffGuard, *tallyCost) {
 	db := vertsim.Open(s)
 	nominal := vertsim.NewDesigner(db, 256<<20)
 	metric := distance.NewEuclidean(s.NumColumns())
 	sampler := sample.New(metric, sample.NewMutator(s))
 	counting := &tallyCost{inner: db}
-	return New(nominal, counting, sampler, opts), counting
+	return New(nominal, wrap(counting), sampler, opts), counting
 }
 
-// TestWarmStartBitIdenticalAndSilent pins the cross-run generation handoff
-// contract: a warm re-run of the identical (workload, seed, options) run must
-// produce bit-identical designs and traces while making zero cost-model calls
-// — every unit cost it needs is in the exported generation, and the imported
-// values are the exact model outputs.
+// TestWarmStartBitIdenticalAndSilent pins the cross-run handoff contract: a
+// run over evalcache.Over(cost, nil, export) fills export, and a re-run of
+// the identical (workload, seed, options) run over Over(cost, export, nil)
+// must produce bit-identical designs and traces while making zero cost-model
+// calls — every unit cost it needs is in the memo, and the memoized values
+// are the exact model outputs.
 func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(3))
 	w := testWorkload(s, rng, 10)
-	base := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
+	opts := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
 
-	run := func(opts Options) (*designer.Design, []Trace, RunStats, *tallyCost, *RunHandle) {
-		cg, counting := newTallyGuard(s, opts)
+	gen := evalcache.NewShared()
+	run := func(over func(designer.CostModel) *evalcache.MemoCost) (*designer.Design, []Trace, RunStats, *tallyCost, *evalcache.MemoCost) {
+		var memo *evalcache.MemoCost
+		cg, counting := newMemoGuard(s, opts, func(cm designer.CostModel) designer.CostModel {
+			memo = over(cm)
+			return memo
+		})
 		h := cg.Start(context.Background(), w.Clone())
 		d, traces, err := h.Await(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, traces, h.Stats(), counting, h
+		return d, traces, h.Stats(), counting, memo
 	}
 
-	coldOpts := base
-	coldOpts.ExportGeneration = true
-	coldD, coldTraces, coldStats, coldCount, coldH := run(coldOpts)
-	gen := coldH.Generation()
-	if gen == nil || gen.Len() == 0 {
-		t.Fatalf("cold run exported no generation (gen=%v)", gen)
+	coldD, coldTraces, coldStats, coldCount, coldMemo := run(func(cm designer.CostModel) *evalcache.MemoCost {
+		return evalcache.Over(cm, nil, gen)
+	})
+	if gen.Len() == 0 {
+		t.Fatal("cold run exported nothing")
 	}
-	if coldStats.WarmHits != 0 {
-		t.Fatalf("cold run reported %d warm hits", coldStats.WarmHits)
+	if coldMemo.Hits() != 0 {
+		t.Fatalf("cold run reported %d warm hits", coldMemo.Hits())
 	}
-	if coldCount.calls.Load() == 0 {
-		t.Fatal("cold run made no cost-model calls")
+	if coldCount.calls.Load() == 0 || coldMemo.Misses() != coldCount.calls.Load() {
+		t.Fatalf("cold run: %d model calls, %d memo misses", coldCount.calls.Load(), coldMemo.Misses())
 	}
 
-	warmOpts := base
-	warmOpts.WarmStart = gen
-	warmD, warmTraces, warmStats, warmCount, _ := run(warmOpts)
+	warmD, warmTraces, warmStats, warmCount, warmMemo := run(func(cm designer.CostModel) *evalcache.MemoCost {
+		return evalcache.Over(cm, gen, nil)
+	})
 
 	if got := warmCount.calls.Load(); got != 0 {
 		t.Errorf("warm run made %d cost-model calls, want 0 (identical trajectory is fully memoized)", got)
 	}
-	if warmStats.WarmHits == 0 {
-		t.Error("warm run served no lookups from the imported generation")
+	if warmMemo.Hits() == 0 {
+		t.Error("warm run served no lookups from the handed-over memo")
 	}
 	if warmD.Fingerprint() != coldD.Fingerprint() || warmD.String() != coldD.String() {
 		t.Errorf("warm design differs from cold:\n  cold: %s\n  warm: %s", coldD, warmD)
@@ -93,41 +106,73 @@ func TestWarmStartBitIdenticalAndSilent(t *testing.T) {
 			t.Errorf("trace %d differs: cold %+v vs warm %+v", i, coldTraces[i], warmTraces[i])
 		}
 	}
-	if warmStats.FinalWorst != coldStats.FinalWorst || warmStats.NominalWorst != coldStats.NominalWorst {
+	if warmStats != coldStats {
 		t.Errorf("stats differ: cold %+v vs warm %+v", coldStats, warmStats)
+	}
+}
+
+// TestOverNilReadKeepsCallCount pins the wrapper's count contract: the
+// write memo is never read, so a run over evalcache.Over(cost, nil, w) makes
+// exactly the cost-model calls — and returns exactly the design and traces —
+// of the same run over the bare cost model.
+func TestOverNilReadKeepsCallCount(t *testing.T) {
+	s := testSchema()
+	rng := rand.New(rand.NewSource(5))
+	w := testWorkload(s, rng, 12)
+	opts := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 13, Parallelism: 1}
+
+	bare, bareCount := newTallyGuard(s, opts)
+	bareD, bareTraces, err := bare.Start(context.Background(), w.Clone()).Await(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := evalcache.NewShared()
+	wrapped, wrappedCount := newMemoGuard(s, opts, func(cm designer.CostModel) designer.CostModel {
+		return evalcache.Over(cm, nil, gen)
+	})
+	d, traces, err := wrapped.Start(context.Background(), w.Clone()).Await(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wrappedCount.calls.Load(), bareCount.calls.Load(); got != want || want == 0 {
+		t.Fatalf("run over Over(cost, nil, w) made %d cost-model calls, bare run %d", got, want)
+	}
+	if d.Fingerprint() != bareD.Fingerprint() || !slices.Equal(traces, bareTraces) {
+		t.Fatal("wrapped run diverged from the bare run")
 	}
 }
 
 // TestWarmStartConcurrentImport shares one exported memo between two warm
 // runs at Parallelism 4 that execute at the same time, so the memo's lookups
-// and hit counters are hit from many evaluator goroutines at once (run under
-// -race). Both runs must still reproduce the cold design and traces with no
-// cost-model calls.
+// and the wrappers' hit counters are hit from many evaluator goroutines at
+// once (run under -race). Both runs must still reproduce the cold design and
+// traces with no cost-model calls.
 func TestWarmStartConcurrentImport(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(3))
 	w := testWorkload(s, rng, 10)
 	base := Options{Gamma: 0.004, Samples: 10, Iterations: 4, Seed: 11, Parallelism: 1}
 
-	cold := base
-	cold.ExportGeneration = true
-	cg, _ := newTallyGuard(s, cold)
-	h := cg.Start(context.Background(), w.Clone())
-	coldD, coldTraces, err := h.Await(context.Background())
+	gen := evalcache.NewShared()
+	cg, _ := newMemoGuard(s, base, func(cm designer.CostModel) designer.CostModel {
+		return evalcache.Over(cm, nil, gen)
+	})
+	coldD, coldTraces, err := cg.Start(context.Background(), w.Clone()).Await(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	warm := base
 	warm.Parallelism = 4
-	warm.WarmStart = h.Generation()
 	type out struct {
 		h     *RunHandle
 		calls *tallyCost
 	}
 	runs := make([]out, 2)
 	for i := range runs {
-		cg, counting := newTallyGuard(s, warm)
+		cg, counting := newMemoGuard(s, warm, func(cm designer.CostModel) designer.CostModel {
+			return evalcache.Over(cm, gen, nil)
+		})
 		runs[i] = out{cg.Start(context.Background(), w.Clone()), counting}
 	}
 	for i, r := range runs {
@@ -226,17 +271,20 @@ func TestInitialDesignMatchingNominal(t *testing.T) {
 }
 
 // TestGammaZeroReturnsNoGeneration: a Gamma=0 run takes the nominal early
-// return and never builds an evaluator, so there is nothing to export.
+// return and never evaluates anything through the loop's cost model, so a
+// memo wrapped around it receives nothing.
 func TestGammaZeroReturnsNoGeneration(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(1))
 	w := testWorkload(s, rng, 8)
-	cg, _ := newGuard(s, Options{Gamma: 0, Seed: 1, ExportGeneration: true})
-	h := cg.Start(context.Background(), w)
-	if _, _, err := h.Await(context.Background()); err != nil {
+	gen := evalcache.NewShared()
+	cg, counting := newMemoGuard(s, Options{Gamma: 0, Seed: 1}, func(cm designer.CostModel) designer.CostModel {
+		return evalcache.Over(cm, nil, gen)
+	})
+	if _, _, err := cg.Start(context.Background(), w).Await(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if g := h.Generation(); g.Len() != 0 {
-		t.Fatalf("Gamma=0 run exported %d pairs, want none", g.Len())
+	if gen.Len() != 0 || counting.calls.Load() != 0 {
+		t.Fatalf("Gamma=0 run exported %d pairs after %d loop cost calls, want none", gen.Len(), counting.calls.Load())
 	}
 }

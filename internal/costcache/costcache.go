@@ -1,8 +1,8 @@
 // Package costcache provides the repo's one lock-striped memo, Map, and the
 // per-(query, access-path) what-if cost cache built on it. All three engine
-// simulators memoize path costs through Cache; the evaluation layer's unit-
-// cost memos (evalcache.Cache and evalcache.Shared) are thin types over Map
-// too. The striping exists so that CliffGuard's parallel neighborhood
+// simulators memoize path costs through Cache; the evaluation layer's two
+// unit-cost memos — the run-local evalcache.Cache and the content-keyed
+// evalcache.Shared behind evalcache.MemoCost — are thin types over Map too. The striping exists so that CliffGuard's parallel neighborhood
 // evaluation — many goroutines costing overlapping query sets — does not
 // serialize on a single cache mutex.
 //
@@ -66,19 +66,6 @@ func (m *Map[K, V]) Lookup(k K) (V, bool) {
 	return v, ok
 }
 
-// Peek is Lookup without the tally, for callers that settle hit or miss
-// only after consulting a fallback (see Tally).
-func (m *Map[K, V]) Peek(k K) (V, bool) {
-	s := m.shardFor(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-// Tally counts one hit or miss against k's stripe.
-func (m *Map[K, V]) Tally(k K, hit bool) { m.shardFor(k).tally(hit) }
-
 func (s *shard[K, V]) tally(hit bool) {
 	if hit {
 		s.hits.Add(1)
@@ -106,29 +93,6 @@ func (m *Map[K, V]) DeleteFunc(del func(K, V) bool) {
 				delete(s.m, k)
 			}
 		}
-		s.mu.Unlock()
-	}
-}
-
-// Range calls fn for every entry, one stripe at a time under its read lock;
-// fn must not write to m.
-func (m *Map[K, V]) Range(fn func(K, V)) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			fn(k, v)
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// Clear drops every entry. The hit/miss tallies are counters and are kept.
-func (m *Map[K, V]) Clear() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		s.m = make(map[K]V)
 		s.mu.Unlock()
 	}
 }

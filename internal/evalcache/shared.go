@@ -9,16 +9,15 @@ import (
 // per-run Cache (which keys by query *pointer*), a SharedKey is valid across
 // runs, sessions and tenants:
 //
-//   - Class is the engine's cost-model class fingerprint (engine kind +
-//     schema): two tenants share entries only when their cost models are
-//     interchangeable pure functions. The warm-start handoff between runs of
-//     one cost model uses Class 0.
+//   - Class is the cost-model class fingerprint (engine kind + schema, see
+//     MemoCost): two tenants share entries only when their cost models are
+//     interchangeable pure functions. A cost model without a class uses 0.
 //   - Query is workload.ContentHash of the query — identical SQL parsed by
 //     two different tenants or ingestions hashes identically even though
 //     the Query pointers and IDs differ.
 //   - Design is the design fingerprint (designer.Design.Fingerprint).
 //
-// A value is therefore valid for every (tenant, run) whose engine class,
+// A value is therefore valid for every (tenant, run) whose cost-model class,
 // query content, and design coincide — which is what turns the second tenant
 // submitting a popular workload, or the next re-design over an overlapping
 // window, into a warm-cache run.
@@ -38,17 +37,16 @@ func sharedHash(k SharedKey) uint64 {
 	return h ^ h>>33
 }
 
-// Shared is the content-keyed unit-cost memo. It serves two roles with one
-// type: the serving layer installs one per process beneath every tenant's
-// runs (the cross-tenant memo), and a finished run exports its per-run Cache
-// into one for the next run to import (the warm-start handoff, see
-// Cache.ExportInto and Cache.SetWarm). Like Cache it is a costcache.Map;
-// values are pure functions of their key, so concurrent redundant
-// computation is benign.
+// Shared is the content-keyed unit-cost memo behind MemoCost. The serving
+// layer keeps one per process beneath every tenant's runs (the cross-tenant
+// memo), and an online controller hands one from each re-design to the next
+// (the warm-start handoff). Like Cache it is a costcache.Map; values are
+// pure functions of their key, so concurrent redundant computation is
+// benign.
 //
-// There is no eviction short of Reset: the entry count is bounded by
-// |distinct designs seen| x |distinct queries|. A nil *Shared is an empty,
-// read-only memo: Len and Lookup work on it.
+// Shared never evicts: its entry count grows with |distinct designs seen| x
+// |distinct queries| for as long as the memo is kept. A nil *Shared is an
+// empty memo that drops writes.
 type Shared struct {
 	m *costcache.Map[SharedKey, entry]
 }
@@ -69,11 +67,11 @@ func (s *Shared) Lookup(k SharedKey) (cost float64, unsupported, ok bool) {
 // Store memoizes the unit cost (or the unsupported verdict) for the key.
 // Hard errors must never be stored; the caller enforces that.
 func (s *Shared) Store(k SharedKey, cost float64, unsupported bool) {
+	if s == nil {
+		return
+	}
 	s.m.Store(k, entry{cost: cost, unsupported: unsupported})
 }
-
-// Reset drops every entry (hit/miss tallies are kept; they are counters).
-func (s *Shared) Reset() { s.m.Clear() }
 
 // Len returns the total number of memoized entries.
 func (s *Shared) Len() int {

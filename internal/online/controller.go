@@ -37,9 +37,8 @@ type Config struct {
 	// speak the same unit.
 	Metric distance.Metric
 	// Options configure each re-design run. Gamma must be > 0. The
-	// controller itself sets InitialDesign, WarmStart, and ExportGeneration
-	// per run (see DisableSeed / DisableWarmStart); any values set here for
-	// those three fields are ignored.
+	// controller itself sets InitialDesign per run (see DisableSeed); any
+	// value set here is ignored.
 	Options core.Options
 	// DriftFraction scales the drift threshold: a check fires when
 	// delta(window, designed) > DriftFraction * Gamma. Default 1.0 — fire
@@ -58,8 +57,8 @@ type Config struct {
 	// rule holds by construction (the seeded loop starts from the incumbent
 	// or better and only accepts improving moves).
 	DisableSeed bool
-	// DisableWarmStart stops the cross-run generation handoff: each
-	// re-design runs cold, repeating every unit cost-model call.
+	// DisableWarmStart stops the cross-run memo handoff: each re-design
+	// reads no previous run's unit costs and repeats every cost-model call.
 	DisableWarmStart bool
 	// Metrics/Observer instrument the window, the drift monitor, and every
 	// re-design run. Either may be nil.
@@ -110,8 +109,9 @@ type Result struct {
 	// rule compared (NaN when there was no incumbent to compare against).
 	IncumbentWorst float64
 	CandidateWorst float64
-	// WarmHits counts evaluation-layer unit costs the run served from the
-	// previous run's generation instead of the cost model.
+	// WarmHits counts cost-model calls the re-design (run and safety check)
+	// answered from the previous re-design's handoff memo instead of the
+	// cost model.
 	WarmHits uint64
 	// Target is the window snapshot the run designed for.
 	Target *workload.Workload
@@ -134,7 +134,7 @@ type Status struct {
 
 // Controller owns one tenant's online state: the sliding window, the
 // incumbent design with the snapshot it was designed for, the warm-start
-// generation handoff, and the drift/safety counters. All methods are safe
+// memo handoff, and the drift/safety counters. All methods are safe
 // for concurrent use; Redesign calls are serialized (ErrRedesignInProgress).
 type Controller struct {
 	cfg    Config
@@ -195,8 +195,8 @@ func (c *Controller) Incumbent() *designer.Design {
 	return c.incumbent
 }
 
-// Handoff returns the current warm-start memo — the latest completed run's
-// exported unit costs (nil before the first run).
+// Handoff returns the current warm-start memo — every cost-model outcome the
+// latest completed re-design saw (nil before the first one).
 func (c *Controller) Handoff() *evalcache.Shared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,7 +276,8 @@ func (c *Controller) Observe(q *workload.Query, weight float64) Decision {
 // publishes the candidate as the new incumbent. Whatever the verdict, the
 // drift baseline is re-anchored to the snapshot just designed for (so a
 // rejected candidate does not leave the monitor re-firing on every
-// observation) and the warm-start handoff is replaced by this run's export.
+// observation) and the warm-start handoff is replaced by the memo this
+// re-design recorded.
 //
 // The safety rule: never publish a design whose worst-case cost over the
 // current window's Gamma-neighborhood regresses vs the incumbent's. When the
@@ -297,15 +298,19 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	opts := c.cfg.Options
 	opts.Observer = obs.Multi(opts.Observer, c.cfg.Observer)
 	opts.Metrics = c.cfg.Metrics
-	opts.ExportGeneration = true
 	opts.InitialDesign = nil
 	if !c.cfg.DisableSeed && incumbent != nil {
 		opts.InitialDesign = incumbent
 	}
-	opts.WarmStart = nil
+	// Warm start is a cost-model wrapper: calls are answered from the
+	// previous re-design's memo where it has them, and every outcome this
+	// re-design sees is recorded into next, the handoff to the following one.
+	var warm *evalcache.Shared
 	if !c.cfg.DisableWarmStart {
-		opts.WarmStart = c.handoff
+		warm = c.handoff
 	}
+	next := evalcache.NewShared()
+	cost := evalcache.Over(c.cfg.Cost, warm, next)
 	c.redesigns++
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.OnlineRedesigns.Inc()
@@ -322,7 +327,7 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 		return nil, errors.New("online: the window is empty, nothing to design for")
 	}
 
-	cg := core.New(c.cfg.Designer, c.cfg.Cost, c.cfg.Sampler, opts)
+	cg := core.New(c.cfg.Designer, cost, c.cfg.Sampler, opts)
 	h := cg.Start(ctx, target)
 	d, traces, err := h.Await(ctx)
 	if err != nil {
@@ -334,7 +339,6 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 		Design:         d,
 		Traces:         traces,
 		Stats:          stats,
-		WarmHits:       stats.WarmHits,
 		Target:         target,
 		IncumbentWorst: math.NaN(),
 		CandidateWorst: stats.FinalWorst,
@@ -368,6 +372,10 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 		res.Published = publish
 		res.SafetyRejected = !publish
 	}
+	res.WarmHits = cost.Hits()
+	if c.cfg.Metrics != nil && res.WarmHits > 0 {
+		c.cfg.Metrics.EvalWarmHits.Add(res.WarmHits)
+	}
 
 	c.mu.Lock()
 	if res.Published {
@@ -388,9 +396,7 @@ func (c *Controller) Redesign(ctx context.Context) (*Result, error) {
 	// candidate would leave it firing on every subsequent observation.
 	c.designedAt = target
 	c.sinceCheck = 0
-	if g := h.Generation(); g != nil {
-		c.handoff = g
-	}
+	c.handoff = next
 	c.lastResult = res
 	c.mu.Unlock()
 	return res, nil

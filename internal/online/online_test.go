@@ -236,7 +236,7 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatal("incumbent is not the bootstrap design")
 	}
 	if rig.ctrl.Handoff().Len() == 0 {
-		t.Fatal("no warm-start generation handed off")
+		t.Fatal("no warm-start memo handed off")
 	}
 
 	// Same-population traffic: checks run (on rotations) but do not fire —
@@ -284,7 +284,7 @@ func TestControllerLifecycle(t *testing.T) {
 	}
 
 	// A re-design of an unchanged window runs warm: the previous run's
-	// generation covers at least the shared nominal trajectory, so some unit
+	// memo covers at least the shared nominal trajectory, so some unit
 	// costs are served without touching the cost model. (The disjoint
 	// population switch above necessarily ran with zero warm hits — no query
 	// content was shared with the bootstrap run.)
@@ -296,7 +296,7 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatalf("repeat re-design not published: %+v", res3)
 	}
 	if res3.WarmHits == 0 {
-		t.Fatal("repeat re-design served nothing from the handoff generation")
+		t.Fatal("repeat re-design served nothing from the handoff memo")
 	}
 
 	st = rig.ctrl.Status()

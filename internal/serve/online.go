@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sync"
 
 	"cliffguard/internal/core"
 	"cliffguard/internal/designer"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/ingest"
 	"cliffguard/internal/online"
 	"cliffguard/internal/sample"
@@ -26,6 +28,14 @@ type onlineState struct {
 	ctrl *online.Controller
 	spec OnlineSpec
 	auto bool
+
+	// shared is the controller's cost model, the engine under the
+	// cross-tenant memo (nil without one). Its hits and misses are added to
+	// the tenant's counters after each re-design; mu guards the totals
+	// already added.
+	shared         *evalcache.MemoCost
+	mu             sync.Mutex
+	addedH, addedM uint64
 }
 
 // OnlineSpec is the request body of POST /v1/tenants/{tenant}/online.
@@ -137,8 +147,8 @@ func (s *Server) onlineOrErr(r *http.Request) (*tenant, *onlineState, error) {
 // buildOnline assembles an online.Controller from the wire spec against the
 // tenant's engine. The run's evaluation path costs queries through the
 // server's cross-tenant memo (values are identical to the raw engine, so the
-// warm-generation contract — same cost model across a controller's runs —
-// holds by construction).
+// warm-start contract — same cost model across a controller's runs — holds
+// by construction).
 func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	if err := checkRunSize(spec.Samples, spec.Iterations); err != nil {
 		return nil, errBadRequest(err)
@@ -153,11 +163,11 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	}
 	sampler := sample.New(metric, sample.NewMutator(t.eng.Schema()))
 	sampler.Metrics = s.metrics
+	st := &onlineState{spec: spec, auto: spec.AutoRedesign}
 	var cost designer.CostModel = t.eng
 	if s.shared != nil {
-		sc := newSharedCostModel(t.eng, s.shared)
-		sc.tenant, sc.metrics = t.id, s.metrics
-		cost = sc
+		st.shared = evalcache.Over(t.eng, s.shared, s.shared)
+		cost = st.shared
 	}
 	ctrl, err := online.New(online.Config{
 		Designer: members[0],
@@ -179,7 +189,22 @@ func (s *Server) buildOnline(t *tenant, spec OnlineSpec) (*onlineState, error) {
 	if err != nil {
 		return nil, errBadRequest(err)
 	}
-	return &onlineState{ctrl: ctrl, spec: spec, auto: spec.AutoRedesign}, nil
+	st.ctrl = ctrl
+	return st, nil
+}
+
+// redesign runs one re-design on the tenant's controller, then adds the
+// shared-memo hits and misses it made to the tenant's counters.
+func (s *Server) redesign(t *tenant, st *onlineState) (*online.Result, error) {
+	res, err := st.ctrl.Redesign(s.baseCtx)
+	if st.shared != nil {
+		st.mu.Lock()
+		h, m := st.shared.Hits(), st.shared.Misses()
+		attributeShared(s.metrics, t.id, h-st.addedH, m-st.addedM)
+		st.addedH, st.addedM = h, m
+		st.mu.Unlock()
+	}
+	return res, err
 }
 
 // onlineInfo renders the tenant's online status.
@@ -327,7 +352,7 @@ func (s *Server) startAutoRedesign(t *tenant, st *onlineState, requestID string)
 		case s.slots <- struct{}{}:
 		}
 		defer func() { <-s.slots }()
-		res, err := st.ctrl.Redesign(s.baseCtx)
+		res, err := s.redesign(t, st)
 		switch {
 		case errors.Is(err, online.ErrRedesignInProgress):
 			s.logger.Info("online auto-redesign skipped: already in progress",
@@ -347,7 +372,7 @@ func (s *Server) startAutoRedesign(t *tenant, st *onlineState, requestID string)
 // handleOnlineRedesign runs a synchronous re-design on the current window
 // (through the worker pool, so it respects the global concurrency bound).
 func (s *Server) handleOnlineRedesign(w http.ResponseWriter, r *http.Request) error {
-	_, st, err := s.onlineOrErr(r)
+	t, st, err := s.onlineOrErr(r)
 	if err != nil {
 		return err
 	}
@@ -362,7 +387,7 @@ func (s *Server) handleOnlineRedesign(w http.ResponseWriter, r *http.Request) er
 	case s.slots <- struct{}{}:
 	}
 	defer func() { <-s.slots }()
-	res, err := st.ctrl.Redesign(s.baseCtx)
+	res, err := s.redesign(t, st)
 	if err != nil {
 		if errors.Is(err, online.ErrRedesignInProgress) {
 			return errConflict(err)

@@ -21,6 +21,7 @@ import (
 	"cliffguard/internal/designer"
 	"cliffguard/internal/distance"
 	"cliffguard/internal/engine"
+	"cliffguard/internal/evalcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/portfolio"
 	"cliffguard/internal/report"
@@ -59,20 +60,21 @@ type RunSpec struct {
 	// must not mutate it while the run executes (the server clones per run).
 	Workload *workload.Workload
 
-	// Shared, when set, layers the cross-tenant unit-cost memo under the
-	// engine's cost model for the loop's neighborhood evaluations (designers
-	// keep the raw engine; values are identical either way, so designs stay
+	// Shared, when set, is the cross-tenant unit-cost memo: the loop's cost
+	// model becomes evalcache.Over(engine, Shared, Shared) (designers keep
+	// the raw engine; values are identical either way, so designs stay
 	// bit-identical). The server installs its process-wide memo here.
-	Shared SharedMemo
+	Shared *evalcache.Shared
 
 	// Telemetry context, set by the server. All three ride only the span
 	// side-channel, logs, and metric labels — never the canonical event
 	// stream, so runs stay bit-identical with or without them.
 	//
 	// Tenant labels the run's shared-memo hits/misses in the metrics
-	// registry; RequestID stamps every span record with the originating HTTP
-	// request; a non-zero EnqueuedAt makes StartRun open the span stream
-	// with an obs.SpanQueueWait span (admission to worker pickup).
+	// registry (added when the run finishes); RequestID stamps every span
+	// record with the originating HTTP request; a non-zero EnqueuedAt makes
+	// StartRun open the span stream with an obs.SpanQueueWait span
+	// (admission to worker pickup).
 	Tenant     string
 	RequestID  string
 	EnqueuedAt time.Time
@@ -186,11 +188,11 @@ func StartRun(ctx context.Context, spec RunSpec) (*RunHandle, error) {
 	// when one is installed; the designers see the raw engine either way.
 	var cost designer.CostModel = eng
 	if spec.Shared != nil {
-		sc := newSharedCostModel(eng, spec.Shared)
+		memo := evalcache.Over(eng, spec.Shared, spec.Shared)
 		if spec.Tenant != "" {
-			sc.tenant, sc.metrics = spec.Tenant, opts.Metrics
+			h.attribute = func() { attributeShared(opts.Metrics, spec.Tenant, memo.Hits(), memo.Misses()) }
 		}
-		cost = sc
+		cost = memo
 	}
 
 	sampler := sample.New(metric, sample.NewMutator(eng.Schema()))
@@ -237,15 +239,36 @@ type RunHandle struct {
 	spans   *bytes.Buffer
 	spanRec *obs.SpanRecorder
 	metrics *obs.Metrics
-	done    chan struct{}
+	// attribute, when set, adds the run's shared-memo hits and misses to its
+	// tenant's counters.
+	attribute func()
+	done      chan struct{}
 }
 
-// finish closes out the run's instrumentation: the span recorder appends its
+// finish closes out the run's instrumentation: the run's shared-memo
+// outcomes are attributed to its tenant, and the span recorder appends its
 // metrics snapshot and flushes into the buffer. Runs exactly once, on the
-// watcher goroutine.
+// watcher goroutine, before Done is closed.
 func (h *RunHandle) finish() {
+	if h.attribute != nil {
+		h.attribute()
+	}
 	_ = h.spanRec.Finish(h.metrics)
 	close(h.done)
+}
+
+// attributeShared adds one tenant's shared-memo hits and misses to the
+// per-tenant counters; zero counts add no series.
+func attributeShared(met *obs.Metrics, tenant string, hits, misses uint64) {
+	if met == nil {
+		return
+	}
+	if hits > 0 {
+		met.SharedHitsByTenant.Add(tenant, hits)
+	}
+	if misses > 0 {
+		met.SharedMissByTenant.Add(tenant, misses)
+	}
 }
 
 // Status returns the run's current state.

@@ -181,39 +181,41 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 	// parsed, so collect raw items first.
 	type rawItem struct {
 		star      bool
-		agg       string // "" for a bare column
-		aggStar   bool   // COUNT(*)
+		agg       bool // an aggregate call; fn is its function
+		fn        workload.AggFn
+		aggStar   bool // COUNT(*)
 		qualifier string
 		name      string
 	}
 	var raw []rawItem
 	for {
 		t := p.peek()
+		fn, isAgg := aggKeyword(t.text)
 		switch {
 		case t.kind == tokSymbol && t.text == "*":
 			p.next()
 			raw = append(raw, rawItem{star: true})
-		case t.kind == tokKeyword && isAggKeyword(t.text):
-			fn := t.text
+		case t.kind == tokKeyword && isAgg:
+			kw := t.text
 			p.next()
 			if !p.acceptSymbol("(") {
-				return nil, p.errf("expected ( after %s", fn)
+				return nil, p.errf("expected ( after %s", kw)
 			}
 			if p.acceptSymbol("*") {
-				if fn != "COUNT" {
-					return nil, p.errf("%s(*) is not valid", fn)
+				if fn != workload.Count {
+					return nil, p.errf("%s(*) is not valid", kw)
 				}
-				raw = append(raw, rawItem{agg: fn, aggStar: true})
+				raw = append(raw, rawItem{agg: true, fn: fn, aggStar: true})
 			} else {
 				p.acceptKeyword("DISTINCT")
 				qual, name, err := p.parseColumnRef()
 				if err != nil {
 					return nil, err
 				}
-				raw = append(raw, rawItem{agg: fn, qualifier: qual, name: name})
+				raw = append(raw, rawItem{agg: true, fn: fn, qualifier: qual, name: name})
 			}
 			if !p.acceptSymbol(")") {
-				return nil, p.errf("expected ) to close %s", fn)
+				return nil, p.errf("expected ) to close %s", kw)
 			}
 			p.skipAlias()
 		case t.kind == tokIdent:
@@ -301,14 +303,14 @@ func (p *Parser) parseSelect() (*workload.Query, error) {
 			for _, c := range t.Columns {
 				spec.SelectCols = append(spec.SelectCols, c.ID)
 			}
-		case r.agg != "" && r.aggStar:
+		case r.agg && r.aggStar:
 			spec.Aggs = append(spec.Aggs, workload.Agg{Fn: workload.Count, Col: -1})
-		case r.agg != "":
+		case r.agg:
 			id, err := sc.resolve(r.qualifier, r.name)
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			spec.Aggs = append(spec.Aggs, workload.Agg{Fn: aggFn(r.agg), Col: id})
+			spec.Aggs = append(spec.Aggs, workload.Agg{Fn: r.fn, Col: id})
 		default:
 			id, err := sc.resolve(r.qualifier, r.name)
 			if err != nil {
@@ -612,28 +614,22 @@ func (p *Parser) coder() ValueCoder {
 	return defaultCoder{}
 }
 
-func isAggKeyword(kw string) bool {
-	switch kw {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-func aggFn(kw string) workload.AggFn {
+// aggKeyword maps an aggregate keyword to its function; ok is false for
+// any other word.
+func aggKeyword(kw string) (fn workload.AggFn, ok bool) {
 	switch kw {
 	case "COUNT":
-		return workload.Count
+		return workload.Count, true
 	case "SUM":
-		return workload.Sum
+		return workload.Sum, true
 	case "AVG":
-		return workload.Avg
+		return workload.Avg, true
 	case "MIN":
-		return workload.Min
+		return workload.Min, true
 	case "MAX":
-		return workload.Max
+		return workload.Max, true
 	}
-	panic("sqlparse: not an aggregate keyword: " + kw)
+	return 0, false
 }
 
 func rangeSelectivity(col schema.Column, lo, hi int64) float64 {

@@ -39,17 +39,24 @@ type (
 	OnlineStatus = online.Status
 
 	// RunStats are one robust run's scalar outcomes (worst-case costs of
-	// the initial competitors and the returned design, warm-start hits) —
-	// what the safety rule reads off a seeded run.
+	// the initial competitors and the returned design) — what the safety
+	// rule reads off a seeded run.
 	RunStats = core.RunStats
-	// EvalGeneration is the content-keyed unit-cost memo (evalcache.Shared)
-	// in its warm-start role: a completed run's export, imported by
-	// Options.WarmStart. Values are the exact cost-model outputs, so warm
-	// runs are bit-identical to cold ones. A nil *EvalGeneration is empty.
+	// EvalGeneration is the content-keyed unit-cost memo (evalcache.Shared):
+	// what a WithEvalMemo cost model reads from and records into, and what
+	// an OnlineController hands from one re-design to the next. Values are
+	// the exact cost-model outputs, so warm runs are bit-identical to cold
+	// ones. It never evicts. A nil *EvalGeneration is empty and drops
+	// writes.
 	EvalGeneration = evalcache.Shared
 	// EvalGenerationKey identifies one memoized unit cost (cost-model class,
-	// query content hash, design fingerprint); run exports use Class 0.
+	// query content hash, design fingerprint). The class is the cost
+	// model's Class() when it has one (the engines do), else 0.
 	EvalGenerationKey = evalcache.SharedKey
+	// EvalMemoCost is the cost model WithEvalMemo returns; its Hits and
+	// Misses count calls answered from the warm memo and calls passed
+	// through to the wrapped model.
+	EvalMemoCost = evalcache.MemoCost
 )
 
 // ErrRedesignInProgress is returned by OnlineController.Redesign while a
@@ -67,7 +74,23 @@ func NewOnlineController(cfg OnlineConfig) (*OnlineController, error) {
 	return online.New(cfg)
 }
 
-// NewEvalGeneration returns an empty content-keyed unit-cost memo (use it to
-// build a warm-start handoff by hand; runs with Options.ExportGeneration
-// produce them automatically).
+// NewEvalGeneration returns an empty content-keyed unit-cost memo, to pass
+// to WithEvalMemo.
 func NewEvalGeneration() *EvalGeneration { return evalcache.NewShared() }
+
+// WithEvalMemo wraps cost so that calls are answered from warm where it has
+// the (query content, design) pair, and every outcome — warm hit or fresh
+// model call — is recorded into export. Hand a run's export to the next run
+// as its warm memo to warm-start it:
+//
+//	gen := cliffguard.NewEvalGeneration()
+//	cold, _ := cliffguard.New(nominal, cliffguard.WithEvalMemo(db, nil, gen), s, opts)
+//	...
+//	warm, _ := cliffguard.New(nominal, cliffguard.WithEvalMemo(db, gen, nil), s, opts)
+//
+// warm must have been filled through the same pure cost function. export is
+// never read, so a run over WithEvalMemo(cost, nil, export) makes exactly
+// the cost-model calls of a run over cost. Either memo may be nil.
+func WithEvalMemo(cost CostModel, warm, export *EvalGeneration) *EvalMemoCost {
+	return evalcache.Over(cost, warm, export)
+}
