@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online serve-smoke
+.PHONY: ci fmt-check vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online serve-smoke e2ebench-check
 
 # The full local gate: what should pass before every commit.
-ci: fmt-check vet build race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online
+ci: fmt-check vet build e2ebench-check race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online
 
 # Fail on incompatible changes to the public cliffguard package (removed or
 # altered exported declarations vs api/cliffguard.api). Intentional breaks:
@@ -32,9 +32,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector; the engine cost models are shared
-# across CliffGuard's parallel neighborhood evaluation, so -race is the gate
-# that matters.
+# The benchmark is its own module (e2ebench/go.mod), so the root build never
+# compiles it; vet and test it here so a layer-API change cannot break it
+# unseen.
+e2ebench-check:
+	cd e2ebench && $(GO) vet . && $(GO) test .
+
+# The whole suite under the race detector. The engines share no mutable state
+# on the cost path; the memos, worker pools and served runs that CliffGuard's
+# parallel neighborhood evaluation and cliffguardd share are what -race gates.
 race:
 	$(GO) test -race ./...
 

@@ -26,8 +26,8 @@ func twoTableSchema() *schema.Schema {
 }
 
 // TestCostMemoHitAllocatesNothing gates the allocation-free what-if call:
-// once every (query, path) pair is memoized, Cost checks the query and tests
-// each sample's strata from precomputed column sets, allocating nothing. The
+// every Cost call checks the query, tests each sample's strata and costs
+// each path from precomputed column sets, allocating nothing. The
 // designs are none, a sample answering the query, and a sample on another
 // table (skipped by the anchor test).
 func TestCostMemoHitAllocatesNothing(t *testing.T) {
@@ -54,7 +54,7 @@ func TestCostMemoHitAllocatesNothing(t *testing.T) {
 		"covering":     designer.NewDesign(answering),
 		"other-anchor": designer.NewDesign(other),
 	} {
-		c, err := db.Cost(ctx, query, d) // warm the memo
+		c, err := db.Cost(ctx, query, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestCostMemoHitAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s design: memo-hit Cost allocates %v times per call, want 0", name, allocs)
+			t.Errorf("%s design: Cost allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/schema"
@@ -118,26 +117,22 @@ func (s *Sample) Describe() string {
 func (s *Sample) StrataSet() workload.ColSet { return s.strata }
 
 // DB is the approximate engine's cost model. It implements
-// designer.CostModel. The memo cache is sharded for CliffGuard's parallel
-// neighborhood evaluation.
+// designer.CostModel. The cost path reads only immutable state, so
+// CliffGuard's parallel neighborhood evaluation may share one DB.
 type DB struct {
 	Schema *schema.Schema
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 }
 
 // Open returns a cost-model-only approximate engine over the schema.
 func Open(s *schema.Schema) *DB {
-	return &DB{Schema: s, memo: costcache.New()}
+	return &DB{Schema: s}
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "aqesim".
-func (db *DB) Instrument(m *obs.Metrics) {
-	db.met = m
-	m.RegisterCache("aqesim", db.memo.Stats)
-}
+// Instrument attaches a metrics registry that counts Cost invocations. Call
+// it before sharing the DB across goroutines.
+func (db *DB) Instrument(m *obs.Metrics) { db.met = m }
 
 // Cost implements designer.CostModel: an aggregate query answerable from a
 // stratified sample scans only the sample; everything else scans the table.
@@ -217,17 +212,10 @@ func (db *DB) check(q *workload.Query) error {
 	return err
 }
 
+// pathCost estimates the latency of q scanning sample sm (nil = the full
+// table): the scanned rows' referenced width plus aggregation of the rows
+// that pass the predicates.
 func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
-	pathKey := ""
-	if sm != nil {
-		pathKey = sm.Key()
-	}
-	return db.memo.GetOrCompute(q, pathKey, func() float64 {
-		return db.computePathCost(q, sm)
-	})
-}
-
-func (db *DB) computePathCost(q *workload.Query, sm *Sample) float64 {
 	t, _ := db.Schema.Table(q.Spec.Table)
 	rows := float64(t.Rows)
 	fraction := 1.0

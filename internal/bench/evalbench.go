@@ -91,7 +91,7 @@ func EvalBench(set *wlgen.Set, gamma float64, seed int64) (*EvalResult, error) {
 	}
 	run := func(disable bool) (*runOut, error) {
 		// Fresh engine, designer, sampler, and workload clone per run:
-		// neither run may inherit the other's memo caches or frozen vectors,
+		// neither run may inherit the other's memo or frozen vectors,
 		// so cold-cache work is measured symmetrically.
 		db := vertsim.Open(s)
 		nominal := vertsim.NewDesigner(db, VerticaBudget)

@@ -155,7 +155,7 @@ func (sc *Scenario) CliffGuard(override func(*core.Options)) *core.CliffGuard {
 
 // Instrument attaches a metrics registry to everything the scenario owns:
 // the CliffGuard loop (through CliffGuard's options), the sampler, and the
-// engine's cost model with its memo cache.
+// engine's cost-model call counter.
 func (sc *Scenario) Instrument(m *obs.Metrics) {
 	sc.Metrics = m
 	sc.Sampler.Metrics = m

@@ -316,8 +316,8 @@ func TestObserverParallelHammer(t *testing.T) {
 			met.PoolQueueDepth.Load(), met.PoolWorkersBusy.Load())
 	}
 	snaps := met.CacheSnapshots()
-	if snaps["vertsim"].Hits+snaps["vertsim"].Misses == 0 {
-		t.Fatal("cost cache saw no traffic")
+	if snaps["evalcache"].Hits+snaps["evalcache"].Misses == 0 {
+		t.Fatal("run memo saw no traffic")
 	}
 	if len(rec.Events()) == 0 {
 		t.Fatal("no events recorded")

@@ -96,8 +96,9 @@ type Engine interface {
 	// designer also implements the CandidateProvider pattern used by the
 	// AutoAdmin and ILP portfolio members.
 	NominalDesigner(budgetBytes int64) designer.Designer
-	// Instrument attaches a metrics registry to the underlying simulator
-	// (cost-model call counters, per-engine memo cache stats).
+	// Instrument attaches a metrics registry to the underlying simulator,
+	// which counts its cost-model calls there. Engines keep no memo and
+	// register no cache, so the registry holds no reference to the engine.
 	Instrument(m *obs.Metrics)
 	// Class returns the cost-model class fingerprint: engines with equal
 	// class values are interchangeable pure cost functions (same kind, same

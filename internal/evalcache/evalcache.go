@@ -8,7 +8,8 @@
 // what-if costs), so once every query of a neighborhood has been costed
 // under a design fingerprint, every further workload evaluation under that
 // design is a pure dot product with zero cost-model calls. Unit costs live
-// in two memos, both thin types over costcache.Map:
+// in two memos, both thin types over stripedMap, the repo's one lock-striped
+// memo (the engines' what-if calls are cheap and memoize nothing):
 //
 //   - Cache is the run's own memo, keyed by (query pointer, design
 //     fingerprint) — the fastest identity inside one process-local run. Its
@@ -29,7 +30,6 @@
 package evalcache
 
 import (
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/obs"
 	"cliffguard/internal/workload"
 )
@@ -61,11 +61,11 @@ func pairHash(k cacheKey) uint64 {
 // value is not usable; call New. A nil *Cache is a valid argument to the
 // kernel (UnitCost, WorkloadCost) and means "no memo".
 type Cache struct {
-	m *costcache.Map[cacheKey, entry]
+	m *stripedMap[cacheKey, entry]
 }
 
 // New returns an empty cache.
-func New() *Cache { return &Cache{m: costcache.NewMap[cacheKey, entry](pairHash)} }
+func New() *Cache { return &Cache{m: newStripedMap[cacheKey, entry](pairHash)} }
 
 // Lookup returns the memoized unit cost of q under the design with
 // fingerprint fp, if present. unsupported reports a memoized

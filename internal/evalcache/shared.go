@@ -1,7 +1,6 @@
 package evalcache
 
 import (
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/obs"
 )
 
@@ -40,7 +39,7 @@ func sharedHash(k SharedKey) uint64 {
 // Shared is the content-keyed unit-cost memo behind MemoCost. The serving
 // layer keeps one per process beneath every tenant's runs (the cross-tenant
 // memo), and an online controller hands one from each re-design to the next
-// (the warm-start handoff). Like Cache it is a costcache.Map; values are
+// (the warm-start handoff). Like Cache it is a striped map; values are
 // pure functions of their key, so concurrent redundant computation is
 // benign.
 //
@@ -48,11 +47,11 @@ func sharedHash(k SharedKey) uint64 {
 // |distinct queries| for as long as the memo is kept. A nil *Shared is an
 // empty memo that drops writes.
 type Shared struct {
-	m *costcache.Map[SharedKey, entry]
+	m *stripedMap[SharedKey, entry]
 }
 
 // NewShared returns an empty shared memo.
-func NewShared() *Shared { return &Shared{m: costcache.NewMap[SharedKey, entry](sharedHash)} }
+func NewShared() *Shared { return &Shared{m: newStripedMap[SharedKey, entry](sharedHash)} }
 
 // Lookup returns the memoized unit cost for the key, if present. unsupported
 // reports a memoized designer.ErrUnsupported verdict (cost is 0 then).

@@ -238,7 +238,7 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // RegisterCache registers a sharded memo cache's snapshot function under a
-// name (e.g. the engine name); the exporters pull per-shard hit/miss stats
+// name (e.g. "evalcache"); the exporters pull per-shard hit/miss stats
 // through it. Re-registering a name replaces the previous function.
 func (m *Metrics) RegisterCache(name string, snapshot func() CacheStats) {
 	if m == nil || snapshot == nil {

@@ -25,7 +25,7 @@ func twoTableSchema() *schema.Schema {
 }
 
 // TestCostMemoHitAllocatesNothing gates the allocation-free what-if call:
-// with the full-scan cost memoized, Cost checks the query and tries the
+// every Cost call checks the query, costs the full scan and tries the
 // design's indexes and views from precomputed column sets, allocating
 // nothing. The designs are none, a covering index (the index-only branch),
 // a materialized view the query rolls up from, and an index on another
@@ -60,7 +60,7 @@ func TestCostMemoHitAllocatesNothing(t *testing.T) {
 		"matview":      designer.NewDesign(view),
 		"other-anchor": designer.NewDesign(other),
 	} {
-		c, err := db.Cost(ctx, query, d) // warm the memo
+		c, err := db.Cost(ctx, query, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestCostMemoHitAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s design: memo-hit Cost allocates %v times per call, want 0", name, allocs)
+			t.Errorf("%s design: Cost allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }

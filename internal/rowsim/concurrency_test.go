@@ -9,9 +9,9 @@ import (
 	"cliffguard/internal/workload"
 )
 
-// TestCostConcurrentAccess hammers the sharded what-if memo from 16
-// goroutines (run under -race): the cost model is shared across CliffGuard's
-// parallel neighborhood evaluation, so concurrent Cost calls over overlapping
+// TestCostConcurrentAccess hammers one cost model from 16 goroutines (run
+// under -race): the cost model is shared across CliffGuard's parallel
+// neighborhood evaluation, so concurrent Cost calls over overlapping
 // (query, path) pairs must be safe and must agree with sequential results.
 func TestCostConcurrentAccess(t *testing.T) {
 	s := testSchema()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
@@ -29,35 +28,30 @@ const (
 )
 
 // DB is a simulated row-store instance. It implements designer.CostModel.
-// The what-if memo cache is sharded for CliffGuard's parallel neighborhood
-// evaluation.
+// The cost path reads only immutable state, so CliffGuard's parallel
+// neighborhood evaluation may share one DB.
 type DB struct {
 	Schema *schema.Schema
 	Data   *datagen.Dataset
 	// RowFraction scales the schema's modeled row counts (default 1.0).
 	RowFraction float64
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 
 	auxMu  sync.Mutex
 	perms  map[string][]int32 // index key -> sorted row permutation
 	mviews map[string]*mvData // matview key -> materialized groups
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "rowsim".
-func (db *DB) Instrument(m *obs.Metrics) {
-	db.met = m
-	m.RegisterCache("rowsim", db.memo.Stats)
-}
+// Instrument attaches a metrics registry that counts Cost invocations. Call
+// it before sharing the DB across goroutines.
+func (db *DB) Instrument(m *obs.Metrics) { db.met = m }
 
 // Open returns a cost-model-only row-store DB.
 func Open(s *schema.Schema) *DB {
 	return &DB{
 		Schema:      s,
 		RowFraction: 1.0,
-		memo:        costcache.New(),
 		perms:       make(map[string][]int32),
 		mviews:      make(map[string]*mvData),
 	}
@@ -90,32 +84,8 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if db.met != nil {
 		db.met.CostModelCalls.Inc()
 	}
-	t, err := db.check(q)
-	if err != nil {
-		return 0, err
-	}
-	best := db.pathCost(q, "", func() float64 { return db.scanCost(q, t) })
-	if d != nil {
-		for _, s := range d.Structures {
-			switch st := s.(type) {
-			case *Index:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.indexCost(q, t, st); ok && c < best {
-					best = c
-				}
-			case *MatView:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.mvCost(q, t, st); ok && c < best {
-					best = c
-				}
-			}
-		}
-	}
-	return best, nil
+	_, best, err := db.bestAccess(q, d)
+	return best, err
 }
 
 // bestAccess returns the chosen structure (nil = full scan) and its cost;
@@ -176,10 +146,6 @@ func (db *DB) check(q *workload.Query) (*schema.Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-func (db *DB) pathCost(q *workload.Query, pathKey string, compute func() float64) float64 {
-	return db.memo.GetOrCompute(q, pathKey, compute)
 }
 
 // scanCost is a full-table scan of t, q's table: the row store reads

@@ -352,6 +352,44 @@ func TestCrossTenantSharedCacheHits(t *testing.T) {
 	}
 }
 
+// TestMetricsNameNoEngineMemo: tenant engines keep no memo, so creating a
+// vertica and a rowstore tenant, running a design and deleting both leaves
+// no per-engine cache series in the process registry (and on /metrics). The
+// names left are the server's cross-tenant memo and the robust loop's run
+// memo, which every run registers under "evalcache".
+func TestMetricsNameNoEngineMemo(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	for _, tc := range []struct{ id, kind string }{{"vert", "vertica"}, {"row", "rowstore"}} {
+		call(t, client, "POST", ts.URL+"/v1/tenants", "application/json",
+			fmt.Sprintf(`{"id":%q,"engine":{"kind":%q}}`, tc.id, tc.kind))
+	}
+	call(t, client, "POST", ts.URL+"/v1/tenants/row/workload", "text/plain", testSQL(t))
+	_, env := call(t, client, "POST", ts.URL+"/v1/tenants/row/runs", "application/json", testRunBody)
+	var ri RunInfo
+	reencode(t, env.Data, &ri)
+	if got := pollRun(t, client, ts.URL+"/v1/tenants/row/runs/"+ri.ID); got.Status != string(StatusDone) {
+		t.Fatalf("run: %s %s", got.Status, got.Error)
+	}
+	for _, id := range []string{"vert", "row"} {
+		if code, _ := call(t, client, "DELETE", ts.URL+"/v1/tenants/"+id, "", ""); code != http.StatusOK {
+			t.Fatalf("DELETE tenant %s: status %d", id, code)
+		}
+	}
+
+	var names []string
+	for name := range srv.Metrics().CacheSnapshots() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if want := []string{"evalcache", "shared-unitcost"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("registry names caches %v, want %v", names, want)
+	}
+}
+
 // Admission control is deterministic: with the worker pool held and the
 // queue full, submissions are rejected "overloaded"; once draining, all
 // submissions are rejected "draining".

@@ -56,7 +56,7 @@ func BenchmarkExecutorProjection(b *testing.B) {
 	}
 }
 
-// BenchmarkWhatIfCost measures one un-memoized what-if estimate.
+// BenchmarkWhatIfCost measures one what-if estimate on a fresh query.
 func BenchmarkWhatIfCost(b *testing.B) {
 	s := testSchema()
 	db := Open(s)
@@ -64,7 +64,7 @@ func BenchmarkWhatIfCost(b *testing.B) {
 	d := designer.NewDesign(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh query per iteration defeats the memo, measuring the model.
+		// A fresh query per iteration includes building its column sets.
 		q := benchQuery()
 		if _, err := db.Cost(context.Background(), q, d); err != nil {
 			b.Fatal(err)
@@ -72,10 +72,10 @@ func BenchmarkWhatIfCost(b *testing.B) {
 	}
 }
 
-// memoHitDesigns are the designs the memo-hit allocation gate costs under:
+// allocGateDesigns are the designs the allocation gate costs under:
 // none, one projection covering benchQuery, and one projection on another
 // anchor (skipped by the anchor test before any coverage work).
-func memoHitDesigns(tb testing.TB) map[string]*designer.Design {
+func allocGateDesigns(tb testing.TB) map[string]*designer.Design {
 	s := testSchema()
 	covering, err := NewProjection(s, "f", []int{0, 1, 2, 3}, []workload.OrderCol{{Col: 2}})
 	if err != nil {
@@ -92,20 +92,20 @@ func memoHitDesigns(tb testing.TB) map[string]*designer.Design {
 	}
 }
 
-// TestCostMemoHitAllocatesNothing gates the allocation-free what-if call: once
-// a (query, path) pair is memoized, Cost checks and covers the query from the
-// column sets it already carries and allocates nothing.
+// TestCostMemoHitAllocatesNothing gates the allocation-free what-if call:
+// every Cost call checks and covers the query and costs each applicable path
+// from the column sets the query already carries, allocating nothing.
 func TestCostMemoHitAllocatesNothing(t *testing.T) {
 	db := Open(testSchema())
 	q := benchQuery()
 	ctx := context.Background()
-	designs := memoHitDesigns(t)
+	designs := allocGateDesigns(t)
 	base, err := db.Cost(ctx, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, d := range designs {
-		c, err := db.Cost(ctx, q, d) // warm the memo
+		c, err := db.Cost(ctx, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,18 +118,18 @@ func TestCostMemoHitAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s design: memo-hit Cost allocates %v times per call, want 0", name, allocs)
+			t.Errorf("%s design: Cost allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }
 
-// BenchmarkCostMemoHit measures one memoized what-if call under a design
-// with a covering projection: the designer's pair-table rebuilds are mostly
-// these.
+// BenchmarkCostMemoHit measures one what-if call on a query whose column
+// sets are built, under a design with a covering projection: the designer's
+// pair-table rebuilds are mostly these.
 func BenchmarkCostMemoHit(b *testing.B) {
 	db := Open(testSchema())
 	q := benchQuery()
-	d := memoHitDesigns(b)["covering"]
+	d := allocGateDesigns(b)["covering"]
 	ctx := context.Background()
 	if _, err := db.Cost(ctx, q, d); err != nil {
 		b.Fatal(err)

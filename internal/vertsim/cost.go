@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"cliffguard/internal/costcache"
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
 	"cliffguard/internal/obs"
@@ -34,34 +33,28 @@ const (
 )
 
 // DB is a simulated columnar database instance: a schema, an optional
-// physical dataset (for the executor), and a memoizing what-if cost model.
-// DB implements designer.CostModel. The memo cache is sharded, so the cost
-// model is safe (and scalable) under CliffGuard's parallel neighborhood
-// evaluation.
+// physical dataset (for the executor), and a what-if cost model. DB
+// implements designer.CostModel. The cost path reads only immutable state,
+// so the cost model is safe (and scalable) under CliffGuard's parallel
+// neighborhood evaluation.
 type DB struct {
 	Schema *schema.Schema
 	Data   *datagen.Dataset // nil means cost-model only
 
-	memo *costcache.Cache // per-(query, path) cost
-	met  *obs.Metrics     // nil disables instrumentation
+	met *obs.Metrics // nil disables instrumentation
 
 	sortedMu sync.Mutex
 	sorted   map[string][]int32 // projection key -> row permutation (executor)
 }
 
-// Instrument attaches a metrics registry: Cost invocations are counted and
-// the memo cache's hit/miss stats are registered under "vertsim". Call it
-// before sharing the DB across goroutines.
-func (db *DB) Instrument(m *obs.Metrics) {
-	db.met = m
-	m.RegisterCache("vertsim", db.memo.Stats)
-}
+// Instrument attaches a metrics registry that counts Cost invocations. Call
+// it before sharing the DB across goroutines.
+func (db *DB) Instrument(m *obs.Metrics) { db.met = m }
 
 // Open returns a cost-model-only DB over the schema.
 func Open(s *schema.Schema) *DB {
 	return &DB{
 		Schema: s,
-		memo:   costcache.New(),
 		sorted: make(map[string][]int32),
 	}
 }
@@ -86,25 +79,8 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if db.met != nil {
 		db.met.CostModelCalls.Inc()
 	}
-	if err := db.check(q); err != nil {
-		return 0, err
-	}
-	best := db.pathCost(q, nil) // super-projection
-	if d != nil {
-		for _, s := range d.Structures {
-			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table {
-				continue
-			}
-			if !q.ColumnsWithin(p.Cols) {
-				continue
-			}
-			if c := db.pathCost(q, p); c < best {
-				best = c
-			}
-		}
-	}
-	return best, nil
+	_, best, err := db.BestPath(q, d)
+	return best, err
 }
 
 // BestPath returns the chosen projection (nil for the super-projection) and
@@ -115,7 +91,7 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 		return nil, 0, err
 	}
 	var bestP *Projection
-	best := db.pathCost(q, nil)
+	best := db.pathCost(q, nil) // super-projection
 	if d != nil {
 		for _, s := range d.Structures {
 			p, ok := s.(*Projection)
@@ -159,19 +135,8 @@ func (db *DB) check(q *workload.Query) error {
 	return err
 }
 
-// pathCost estimates latency of q via projection p (nil = super-projection),
-// memoized per (query, path) pair in the sharded cache.
-func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
-	pathKey := ""
-	if p != nil {
-		pathKey = p.Key()
-	}
-	return db.memo.GetOrCompute(q, pathKey, func() float64 {
-		return db.computePathCost(q, p)
-	})
-}
-
-// computePathCost is the actual cost model.
+// pathCost estimates the latency of q via projection p (nil =
+// super-projection):
 //
 //	scan  = rowsScanned * referencedWidth / scanRate
 //	agg   = outputRows / aggRate            (if grouped)
@@ -181,7 +146,7 @@ func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 // projection's sort-key prefix: equalities extend the usable prefix, the
 // first range predicate uses it and stops, and the super-projection (no sort
 // order) always scans everything.
-func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
+func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 	t, _ := db.Schema.Table(q.Spec.Table)
 	rows := float64(t.Rows)
 
@@ -226,7 +191,7 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 
 	if len(q.Spec.GroupBy) > 0 {
 		aggCost := outRows / aggRowsPerMs
-		if groupBySortStreamed(q.Spec, sortCols) {
+		if groupBySortStreamed(q, sortCols) {
 			// Rows arrive clustered by the grouping key: streaming (one-pass,
 			// no hash table) aggregation.
 			aggCost *= 0.1
@@ -242,13 +207,13 @@ func (db *DB) computePathCost(q *workload.Query, p *Projection) float64 {
 
 // groupBySortStreamed reports whether the path's sort key leads with the
 // query's group-by columns (in any order), enabling one-pass aggregation.
-func groupBySortStreamed(spec *workload.Spec, sortCols []workload.OrderCol) bool {
-	if len(spec.GroupBy) == 0 || len(spec.GroupBy) > len(sortCols) {
+func groupBySortStreamed(q *workload.Query, sortCols []workload.OrderCol) bool {
+	n := len(q.Spec.GroupBy)
+	if n == 0 || n > len(sortCols) {
 		return false
 	}
-	gset := workload.NewColSet(spec.GroupBy...)
-	for i := 0; i < len(spec.GroupBy); i++ {
-		if !gset.Has(sortCols[i].Col) {
+	for i := 0; i < n; i++ {
+		if !q.GroupBy.Has(sortCols[i].Col) {
 			return false
 		}
 	}

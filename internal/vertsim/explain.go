@@ -55,7 +55,7 @@ func (db *DB) Explain(q *workload.Query, d *designer.Design) (string, error) {
 	}
 	if len(q.Spec.GroupBy) > 0 {
 		mode := "HASH"
-		if groupBySortStreamed(q.Spec, sortCols) {
+		if groupBySortStreamed(q, sortCols) {
 			mode = "STREAMING"
 		}
 		fmt.Fprintf(&b, "  %s GROUP BY %d columns, %d aggregates\n",

@@ -572,7 +572,7 @@ func TestCandidatesCoverPerturbedFamilies(t *testing.T) {
 }
 
 func TestCostConcurrentAccess(t *testing.T) {
-	// The memoizing cost model is shared across CliffGuard's evaluations;
+	// The cost model is shared across CliffGuard's parallel evaluations;
 	// concurrent use must be safe.
 	s := testSchema()
 	db := Open(s)
@@ -589,7 +589,7 @@ func TestCostConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				// Offset per goroutine so different goroutines race on the
+				// Offset per goroutine so different goroutines cost the
 				// same (query, path) pairs from different starting points.
 				if _, err := db.Cost(context.Background(), queries[(i+g)%len(queries)], design); err != nil {
 					t.Error(err)
