@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online serve-smoke e2ebench-check
+.PHONY: ci fmt-check vet build test race fuzz-smoke bench apidiff api-baseline report-check bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online bench-designer-smoke serve-smoke e2ebench-check
 
 # The full local gate: what should pass before every commit.
-ci: fmt-check vet build e2ebench-check race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online
+ci: fmt-check vet build e2ebench-check race fuzz-smoke apidiff report-check serve-smoke bench-smoke bench-sampler bench-eval bench-portfolio bench-scale bench-online bench-designer-smoke
 
 # Fail on incompatible changes to the public cliffguard package (removed or
 # altered exported declarations vs api/cliffguard.api). Intentional breaks:
@@ -129,6 +129,13 @@ bench-online:
 	@mkdir -p /tmp/cliffguard-bench-online
 	$(GO) run ./cmd/benchrunner -experiment ONLINE -bench-json /tmp/cliffguard-bench-online > /dev/null
 	$(GO) run ./cmd/cliffreport bench -against benchmarks /tmp/cliffguard-bench-online/BENCH_ONLINE.json
+
+# Keep the designer microbenchmarks compiling and running: one iteration of
+# the pair-table build (vertsim, one R1 month and its real candidate pool,
+# direct and black-box) and of the lazy greedy completion. Timings are
+# informational; this gates only that they build and run.
+bench-designer-smoke:
+	$(GO) test -run='^$$' -bench='PairTable|Complete' -benchtime=1x ./internal/designer/ ./internal/vertsim/
 
 # Boot the real cliffguardd binary on a random port and drive the /v1 API
 # end to end: tenant create -> workload -> submit -> poll -> design/trace/

@@ -149,14 +149,11 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	if err := db.check(q); err != nil {
 		return 0, err
 	}
-	best := db.pathCost(q, nil)
+	qt := db.terms(q)
+	best := qt.pathCost(1.0)
 	if d != nil {
-		for _, st := range d.Structures {
-			sm, ok := st.(*Sample)
-			if !ok || sm.Table != q.Spec.Table || !db.answerable(q, sm) {
-				continue
-			}
-			if c := db.pathCost(q, sm); c < best {
+		for _, s := range d.Structures {
+			if c, ok := qt.via(s); ok && c < best {
 				best = c
 			}
 		}
@@ -164,11 +161,31 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	return best, nil
 }
 
+// Paths implements designer.PathCoster: the full scan's cost (exactly
+// Cost(ctx, q, nil), one counted call) and q's cost through one sample
+// alone, false when the sample cannot answer q. The per-query terms are
+// computed here, once for every cell via costs.
+func (db *DB) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+	}
+	if db.met != nil {
+		db.met.CostModelCalls.Inc()
+	}
+	if err := db.check(q); err != nil {
+		return 0, nil, err
+	}
+	qt := db.terms(q)
+	return qt.pathCost(1.0), qt.via, nil
+}
+
 // answerable reports whether the sample can answer the query with bounded
 // error: aggregate queries only, with every grouping and filtering column
 // inside the stratification set (otherwise strata do not control the
 // estimator's variance for that query).
-func (db *DB) answerable(q *workload.Query, sm *Sample) bool {
+func answerable(q *workload.Query, sm *Sample) bool {
 	spec := q.Spec
 	if len(spec.Aggs) == 0 {
 		return false // point/detail queries need exact rows
@@ -212,23 +229,22 @@ func (db *DB) check(q *workload.Query) error {
 	return err
 }
 
-// pathCost estimates the latency of q scanning sample sm (nil = the full
-// table): the scanned rows' referenced width plus aggregation of the rows
-// that pass the predicates.
-func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
+// queryTerms are the path-independent parts of q's path costs, computed
+// once per query (q must have passed check).
+type queryTerms struct {
+	q     *workload.Query
+	rows  float64 // the table's row count
+	width float64 // summed width of the referenced columns
+	sel   float64 // product of the clamped predicate selectivities
+}
+
+func (db *DB) terms(q *workload.Query) queryTerms {
 	t, _ := db.Schema.Table(q.Spec.Table)
-	rows := float64(t.Rows)
-	fraction := 1.0
-	if sm != nil {
-		fraction = sm.Fraction
-	}
-	var width float64
+	qt := queryTerms{q: q, rows: float64(t.Rows), sel: 1.0}
 	q.EachColumn(func(c int) bool {
-		width += float64(db.Schema.Column(c).Type.Width())
+		qt.width += float64(db.Schema.Column(c).Type.Width())
 		return true
 	})
-	scanned := math.Max(rows*fraction, 1)
-	sel := 1.0
 	for _, p := range q.Spec.Preds {
 		s := p.Sel
 		if s <= 0 {
@@ -237,11 +253,29 @@ func (db *DB) pathCost(q *workload.Query, sm *Sample) float64 {
 		if s > 1 {
 			s = 1
 		}
-		sel *= s
+		qt.sel *= s
 	}
-	cost := fixedOverheadMs + scanned*width/scanBytesPerMs
-	if len(q.Spec.GroupBy) > 0 {
-		cost += math.Max(scanned*sel, 1) / aggRowsPerMs
+	return qt
+}
+
+// via costs the query through s alone: false unless s is a sample of the
+// query's table that can answer it.
+func (qt *queryTerms) via(s designer.Structure) (float64, bool) {
+	sm, ok := s.(*Sample)
+	if !ok || sm.Table != qt.q.Spec.Table || !answerable(qt.q, sm) {
+		return 0, false
+	}
+	return qt.pathCost(sm.Fraction), true
+}
+
+// pathCost estimates the latency of the query scanning the given fraction
+// of its table (1 = the full table): the scanned rows' referenced width plus
+// aggregation of the rows that pass the predicates.
+func (qt *queryTerms) pathCost(fraction float64) float64 {
+	scanned := math.Max(qt.rows*fraction, 1)
+	cost := fixedOverheadMs + scanned*qt.width/scanBytesPerMs
+	if len(qt.q.Spec.GroupBy) > 0 {
+		cost += math.Max(scanned*qt.sel, 1) / aggRowsPerMs
 	}
 	return cost
 }

@@ -35,7 +35,7 @@ func (d *Designer) Name() string { return "AQE-SampleSelector" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := designer.CompressByTemplate(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -43,9 +43,14 @@ func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.
 }
 
 // Candidates implements the CandidateProvider contract used by the
-// local-search baselines and the designable filter.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw)
+// local-search baselines and the designable filter. The workload is
+// compressed by template first.
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates builds the pool for a workload already compressed by template.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	frac := d.BaseFraction
 	if frac <= 0 {
 		frac = 0.01

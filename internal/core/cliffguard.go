@@ -154,6 +154,7 @@ func (cg *CliffGuard) run(ctx context.Context, w0 *workload.Workload) (*designer
 	// cache over the (now fixed) neighborhood. Every already-scored design
 	// replays instead of re-invoking the cost model; see incremental.go.
 	ev := cg.newRunEval(opts)
+	defer ev.release(opts.Metrics)
 
 	alpha := opts.InitialAlpha
 	worst, err := worstOf(ev.score(ctx, neighborhood, d, em, -1, obs.PhaseInitial))

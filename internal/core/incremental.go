@@ -61,6 +61,22 @@ func (cg *CliffGuard) newRunEval(opts Options) *runEval {
 	return re
 }
 
+// release ends the run's hold on its memo: the "evalcache" registration is
+// replaced by a frozen copy of the memo's final stats, so a long-lived
+// registry (cliffguardd's process registry) keeps the numbers but not the
+// memo or the queries it keys. A single-run registry reads the same values.
+func (re *runEval) release(m *obs.Metrics) {
+	if re.units == nil || m == nil {
+		return
+	}
+	final := re.units.Stats()
+	m.RegisterCache("evalcache", func() obs.CacheStats {
+		s := final
+		s.Shards = append([]obs.CacheShardStats(nil), final.Shards...)
+		return s
+	})
+}
+
 // score evaluates the neighborhood under d, replaying the memoized pass when
 // d's fingerprint has been scored before in this run. score runs on the loop
 // goroutine only (the internal maps are not locked); the parallel fan-out

@@ -160,3 +160,40 @@ func TestEvalFastPathReducesCostModelCalls(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMemoReleasedAtRunEnd: when a run returns, the registry's
+// "evalcache" entry is a frozen copy of the memo's final stats, so a
+// long-lived registry keeps the numbers but no reference to the memo. A
+// memo touched after release leaves the registered stats unchanged.
+func TestRunMemoReleasedAtRunEnd(t *testing.T) {
+	s := testSchema()
+	w := testWorkload(s, rand.New(rand.NewSource(3)), 4)
+	met := obs.NewMetrics()
+	re := (&CliffGuard{}).newRunEval(Options{Metrics: met})
+	q := w.Items[0].Q
+	re.units.Store(q, 1, 42, false)
+	if _, _, ok := re.units.Lookup(q, 1); !ok {
+		t.Fatal("stored unit cost not found")
+	}
+	live := met.CacheSnapshots()["evalcache"]
+	re.release(met)
+	frozen := met.CacheSnapshots()["evalcache"]
+	if frozen.Hits != live.Hits || frozen.Misses != live.Misses || frozen.Entries != live.Entries {
+		t.Fatalf("released stats %+v, want the final live stats %+v", frozen, live)
+	}
+	re.units.Lookup(q, 2)
+	re.units.Store(q, 2, 7, false)
+	if again := met.CacheSnapshots()["evalcache"]; again.Misses != frozen.Misses || again.Entries != frozen.Entries {
+		t.Fatalf("registry still reads the live memo: %+v after release, %+v at release", again, frozen)
+	}
+
+	// A whole run registers the same final numbers it would have read live.
+	events, _, _, runMet := runEvalPath(t, false, 1)
+	if len(events) == 0 {
+		t.Fatal("run emitted no events")
+	}
+	ec := runMet.CacheSnapshots()["evalcache"]
+	if ec.Hits == 0 || ec.Misses == 0 || len(ec.Shards) == 0 {
+		t.Fatalf("released run stats %+v, want the run's traffic", ec)
+	}
+}

@@ -165,6 +165,9 @@ type verticaEngine struct {
 func (e *verticaEngine) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
 	return e.db.Cost(ctx, q, d)
 }
+func (e *verticaEngine) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	return e.db.Paths(ctx, q)
+}
 func (e *verticaEngine) NominalDesigner(budgetBytes int64) designer.Designer {
 	return vertsim.NewDesigner(e.db, budgetBytes)
 }
@@ -178,6 +181,9 @@ type rowStoreEngine struct {
 
 func (e *rowStoreEngine) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
 	return e.db.Cost(ctx, q, d)
+}
+func (e *rowStoreEngine) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	return e.db.Paths(ctx, q)
 }
 func (e *rowStoreEngine) NominalDesigner(budgetBytes int64) designer.Designer {
 	return rowsim.NewDesigner(e.db, budgetBytes)
@@ -193,11 +199,22 @@ type approxEngine struct {
 func (e *approxEngine) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
 	return e.db.Cost(ctx, q, d)
 }
+func (e *approxEngine) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	return e.db.Paths(ctx, q)
+}
 func (e *approxEngine) NominalDesigner(budgetBytes int64) designer.Designer {
 	return aqesim.NewDesigner(e.db, budgetBytes)
 }
 func (e *approxEngine) Instrument(m *obs.Metrics) { e.db.Instrument(m) }
 func (e *approxEngine) Unwrap() any               { return e.db }
+
+// Every engine forwards its simulator's per-path costs, so the designers'
+// pair tables take the direct path through an opened engine too.
+var (
+	_ designer.PathCoster = (*verticaEngine)(nil)
+	_ designer.PathCoster = (*rowStoreEngine)(nil)
+	_ designer.PathCoster = (*approxEngine)(nil)
+)
 
 // dataNonce makes every executor-backed engine's class unique: dataset-backed
 // simulators expose caller-mutable knobs, so their memoized unit costs must

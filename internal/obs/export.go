@@ -72,7 +72,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	counter("cliffguard_sampler_fastpath_total", "Draws landed by the closed-form solve.", m.SamplerFastPath.Load())
 	counter("cliffguard_sampler_slowpath_total", "Draws landed by build-and-verify.", m.SamplerSlowPath.Load())
 	counter("cliffguard_sampler_distance_evals_total", "Distance evaluations spent inside the sampler.", m.SamplerDistanceEvals.Load())
-	counter("cliffguard_costmodel_calls_total", "What-if cost model invocations.", m.CostModelCalls.Load())
+	counter("cliffguard_costmodel_calls_total", "What-if cost model invocations (Cost and Paths calls).", m.CostModelCalls.Load())
 	counter("cliffguard_designer_invocations_total", "Black-box nominal designer calls.", m.DesignerInvocations.Load())
 	counter("cliffguard_designer_candidates_total", "Candidate structures proposed by designers.", m.CandidatesGenerated.Load())
 	counter("cliffguard_neighbors_evaluated_total", "Per-workload neighborhood evaluations.", m.NeighborsEvaluated.Load())

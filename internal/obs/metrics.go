@@ -169,7 +169,7 @@ type Metrics struct {
 	SamplerDistanceEvals Counter // Metric.Distance evaluations spent inside the sampler
 
 	// Cost-model and designer activity (the three engine simulators).
-	CostModelCalls      Counter // what-if Cost() invocations
+	CostModelCalls      Counter // what-if Cost() and Paths() invocations (not via cells)
 	DesignerInvocations Counter // black-box nominal-designer calls
 	CandidatesGenerated Counter // candidate structures proposed by designers
 

@@ -88,6 +88,28 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	return best, err
 }
 
+// Paths implements designer.PathCoster: the full scan's cost (exactly
+// Cost(ctx, q, nil), one counted call) and q's cost through one index or
+// materialized view alone, false when it cannot serve q (another table, no
+// usable key prefix, or a view that cannot answer it). The per-query terms
+// are computed here, once for every cell via costs.
+func (db *DB) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+	}
+	if db.met != nil {
+		db.met.CostModelCalls.Inc()
+	}
+	t, err := db.check(q)
+	if err != nil {
+		return 0, nil, err
+	}
+	qt := db.terms(q, t)
+	return qt.scan, qt.via, nil
+}
+
 // bestAccess returns the chosen structure (nil = full scan) and its cost;
 // the executor follows this decision.
 func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Structure, float64, error) {
@@ -95,25 +117,13 @@ func (db *DB) bestAccess(q *workload.Query, d *designer.Design) (designer.Struct
 	if err != nil {
 		return nil, 0, err
 	}
+	qt := db.terms(q, t)
 	var bestS designer.Structure
-	best := db.scanCost(q, t)
+	best := qt.scan
 	if d != nil {
 		for _, s := range d.Structures {
-			switch st := s.(type) {
-			case *Index:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.indexCost(q, t, st); ok && c < best {
-					best, bestS = c, st
-				}
-			case *MatView:
-				if st.Table != q.Spec.Table {
-					continue
-				}
-				if c, ok := db.mvCost(q, t, st); ok && c < best {
-					best, bestS = c, st
-				}
+			if c, ok := qt.via(s); ok && c < best {
+				best, bestS = c, s
 			}
 		}
 	}
@@ -148,19 +158,51 @@ func (db *DB) check(q *workload.Query) (*schema.Table, error) {
 	return t, nil
 }
 
-// scanCost is a full-table scan of t, q's table: the row store reads
-// entire rows.
-func (db *DB) scanCost(q *workload.Query, t *schema.Table) float64 {
-	rows := db.rows(t)
-	cost := fixedOverheadMs + rows*float64(t.RowWidth())/scanBytesPerMs
-	return cost + db.postCost(q, rows*totalSel(q.Spec))
+// queryTerms are the path-independent parts of q's access costs, computed
+// once per query (q must have passed check; t is its table).
+type queryTerms struct {
+	db       *DB
+	q        *workload.Query
+	t        *schema.Table
+	rows     float64 // modeled row count after RowFraction scaling
+	width    float64 // summed width of the referenced columns
+	totalSel float64 // product of the clamped predicate selectivities
+	post     float64 // postCost of the rows passing the predicates
+	scan     float64 // the full scan: the row store reads entire rows
+}
+
+func (db *DB) terms(q *workload.Query, t *schema.Table) queryTerms {
+	qt := queryTerms{db: db, q: q, t: t, rows: db.rows(t), totalSel: totalSel(q.Spec)}
+	q.EachColumn(func(c int) bool {
+		qt.width += float64(db.Schema.Column(c).Type.Width())
+		return true
+	})
+	qt.post = db.postCost(q, qt.rows*qt.totalSel)
+	qt.scan = fixedOverheadMs + qt.rows*float64(t.RowWidth())/scanBytesPerMs + qt.post
+	return qt
+}
+
+// via costs the query through s alone: false unless s is an index or
+// materialized view on the query's table that can serve it.
+func (qt *queryTerms) via(s designer.Structure) (float64, bool) {
+	switch st := s.(type) {
+	case *Index:
+		if st.Table == qt.q.Spec.Table {
+			return qt.indexCost(st)
+		}
+	case *MatView:
+		if st.Table == qt.q.Spec.Table {
+			return qt.mvCost(st)
+		}
+	}
+	return 0, false
 }
 
 // indexCost estimates access via an index, if applicable: the query must
 // have an equality-prefix (optionally ending in one range) on the index key.
-// A covering index avoids base-table fetches entirely. t is q's table.
-func (db *DB) indexCost(q *workload.Query, t *schema.Table, idx *Index) (float64, bool) {
-	spec := q.Spec
+// A covering index avoids base-table fetches entirely.
+func (qt *queryTerms) indexCost(idx *Index) (float64, bool) {
+	spec := qt.q.Spec
 	matchSel := 1.0
 	matched := 0
 	for _, keyCol := range idx.Cols {
@@ -177,32 +219,26 @@ func (db *DB) indexCost(q *workload.Query, t *schema.Table, idx *Index) (float64
 	if matched == 0 {
 		return 0, false
 	}
-	rows := db.rows(t)
-	fetched := math.Max(rows*matchSel, 1)
+	fetched := math.Max(qt.rows*matchSel, 1)
 
-	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(rows+2)
-	if q.ColumnsWithin(idx.AllCols()) {
+	cost := fixedOverheadMs + probeMsPerLookup*math.Log2(qt.rows+2)
+	if qt.q.ColumnsWithin(idx.AllCols()) {
 		// Index-only scan over the matched range.
-		var width float64
-		q.EachColumn(func(c int) bool {
-			width += float64(db.Schema.Column(c).Type.Width())
-			return true
-		})
-		cost += fetched * width / scanBytesPerMs
+		cost += fetched * qt.width / scanBytesPerMs
 	} else {
 		// Base-table fetch per matched row, with random access penalty.
-		cost += fetched * float64(t.RowWidth()) * randomPenalty / scanBytesPerMs
+		cost += fetched * float64(qt.t.RowWidth()) * randomPenalty / scanBytesPerMs
 	}
-	return cost + db.postCost(q, rows*totalSel(spec)), true
+	return cost + qt.post, true
 }
 
 // mvCost estimates answering the query from a materialized view: the query's
 // group-by must be a subset of the view's, every aggregate precomputed, no
 // bare select columns beyond group-by columns, and predicates restricted to
 // the view's group-by columns. Note the subset rule: re-aggregation rolls
-// finer groups up into coarser ones. t is q's table.
-func (db *DB) mvCost(q *workload.Query, t *schema.Table, mv *MatView) (float64, bool) {
-	spec := q.Spec
+// finer groups up into coarser ones.
+func (qt *queryTerms) mvCost(mv *MatView) (float64, bool) {
+	spec := qt.q.Spec
 	if len(spec.GroupBy) == 0 || len(spec.Aggs) == 0 {
 		return 0, false
 	}
@@ -229,14 +265,15 @@ func (db *DB) mvCost(q *workload.Query, t *schema.Table, mv *MatView) (float64, 
 			return 0, false
 		}
 	}
-	mvRows := math.Min(float64(mv.Groups()), db.rows(t))
+	db := qt.db
+	mvRows := math.Min(float64(mv.Groups()), qt.rows)
 	var width float64
 	for _, c := range mv.GroupBy {
 		width += float64(db.Schema.Column(c).Type.Width())
 	}
 	width += float64(len(mv.Aggs)) * 8
 	cost := fixedOverheadMs + mvRows*width/scanBytesPerMs
-	return cost + db.postCost(q, mvRows*totalSel(spec)), true
+	return cost + db.postCost(qt.q, mvRows*qt.totalSel), true
 }
 
 // postCost adds aggregation and sort costs downstream of the access path.

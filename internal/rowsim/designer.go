@@ -46,7 +46,7 @@ func (d *Designer) Name() string { return "DBMS-X-Advisor" }
 // Design implements designer.Designer.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := d.Compress(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -77,9 +77,14 @@ func (d *Designer) Compress(w *workload.Workload) *workload.Workload {
 }
 
 // Candidates generates the candidate pool: per-template indices (key-only
-// and covering) and materialized views for aggregate templates.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw) // idempotent; callers may pass raw workloads
+// and covering) and materialized views for aggregate templates. The
+// workload is compressed by template first.
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates builds the pool for a workload already compressed by template.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	// cols is the template's referenced-column set, built once.
 	type wq struct {
 		q      *workload.Query

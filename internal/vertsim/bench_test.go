@@ -7,6 +7,7 @@ import (
 
 	"cliffguard/internal/datagen"
 	"cliffguard/internal/designer"
+	"cliffguard/internal/wlgen"
 	"cliffguard/internal/workload"
 )
 
@@ -142,3 +143,48 @@ func BenchmarkCostMemoHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewPairTable times the designer's what-if lowering on its real
+// input: one R1 month (seed 42, full weekly volume) compressed by template,
+// over the candidate pool the nominal designer draws for it — every
+// (query, projection) cell of one Design call. "direct" is the engine's
+// PathCoster path; "black-box" hides it and pays one Cost call per cell.
+func BenchmarkNewPairTable(b *testing.B) {
+	s := datagen.Warehouse(1)
+	cfg := wlgen.R1Config(s, 42)
+	cfg.Months, cfg.DriftTargets = 2, cfg.DriftTargets[:1]
+	set, err := cfg.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := Open(s)
+	cw := designer.CompressByTemplate(set.Months[0])
+	pool := NewDesigner(db, 0).Candidates(cw)
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		cm   designer.CostModel
+	}{{"direct", db}, {"black-box", opaqueCost{db}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t, err := designer.NewPairTable(ctx, bc.cm, cw, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pairTableSink = t
+			}
+			b.ReportMetric(float64(len(pool)), "structures")
+			b.ReportMetric(float64(cw.Len()), "queries")
+		})
+	}
+}
+
+// opaqueCost hides the DB's PathCoster capability.
+type opaqueCost struct{ db *DB }
+
+func (o opaqueCost) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (float64, error) {
+	return o.db.Cost(ctx, q, d)
+}
+
+var pairTableSink *designer.PairTable

@@ -83,6 +83,26 @@ func (db *DB) Cost(ctx context.Context, q *workload.Query, d *designer.Design) (
 	return best, err
 }
 
+// Paths implements designer.PathCoster: the super-projection's cost (exactly
+// Cost(ctx, q, nil), one counted call) and q's cost through one projection
+// alone, false when it is not a covering projection of q's anchor. The
+// per-query terms are computed here, once for every cell via costs.
+func (db *DB) Paths(ctx context.Context, q *workload.Query) (float64, func(designer.Structure) (float64, bool), error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+	}
+	if db.met != nil {
+		db.met.CostModelCalls.Inc()
+	}
+	if err := db.check(q); err != nil {
+		return 0, nil, err
+	}
+	qt := db.terms(q)
+	return qt.pathCost(nil), qt.via, nil
+}
+
 // BestPath returns the chosen projection (nil for the super-projection) and
 // its estimated cost. The executor uses it to run the same plan the
 // estimator picked.
@@ -90,16 +110,13 @@ func (db *DB) BestPath(q *workload.Query, d *designer.Design) (*Projection, floa
 	if err := db.check(q); err != nil {
 		return nil, 0, err
 	}
+	qt := db.terms(q)
 	var bestP *Projection
-	best := db.pathCost(q, nil) // super-projection
+	best := qt.pathCost(nil) // super-projection
 	if d != nil {
 		for _, s := range d.Structures {
-			p, ok := s.(*Projection)
-			if !ok || p.Anchor != q.Spec.Table || !q.ColumnsWithin(p.Cols) {
-				continue
-			}
-			if c := db.pathCost(q, p); c < best {
-				best, bestP = c, p
+			if c, ok := qt.via(s); ok && c < best {
+				best, bestP = c, s.(*Projection)
 			}
 		}
 	}
@@ -135,7 +152,43 @@ func (db *DB) check(q *workload.Query) error {
 	return err
 }
 
-// pathCost estimates the latency of q via projection p (nil =
+// queryTerms are the path-independent parts of q's path costs, computed
+// once per query (q must have passed check).
+type queryTerms struct {
+	q        *workload.Query
+	rows     float64 // the anchor's row count
+	width    float64 // summed width of the referenced columns
+	totalSel float64 // product of the clamped predicate selectivities
+	groups   float64 // groupEstimate of the GROUP BY (grouped queries only)
+}
+
+func (db *DB) terms(q *workload.Query) queryTerms {
+	t, _ := db.Schema.Table(q.Spec.Table)
+	qt := queryTerms{q: q, rows: float64(t.Rows), totalSel: 1.0}
+	q.EachColumn(func(c int) bool {
+		qt.width += float64(db.Schema.Column(c).Type.Width())
+		return true
+	})
+	for _, pred := range q.Spec.Preds {
+		qt.totalSel *= clampSel(pred.Sel)
+	}
+	if len(q.Spec.GroupBy) > 0 {
+		qt.groups = db.groupEstimate(q.Spec.GroupBy)
+	}
+	return qt
+}
+
+// via costs the query through s alone: false unless s is a projection of
+// the query's anchor covering every referenced column.
+func (qt *queryTerms) via(s designer.Structure) (float64, bool) {
+	p, ok := s.(*Projection)
+	if !ok || p.Anchor != qt.q.Spec.Table || !qt.q.ColumnsWithin(p.Cols) {
+		return 0, false
+	}
+	return qt.pathCost(p), true
+}
+
+// pathCost estimates the latency of the query via projection p (nil =
 // super-projection):
 //
 //	scan  = rowsScanned * referencedWidth / scanRate
@@ -146,16 +199,8 @@ func (db *DB) check(q *workload.Query) error {
 // projection's sort-key prefix: equalities extend the usable prefix, the
 // first range predicate uses it and stops, and the super-projection (no sort
 // order) always scans everything.
-func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
-	t, _ := db.Schema.Table(q.Spec.Table)
-	rows := float64(t.Rows)
-
-	var width float64
-	q.EachColumn(func(c int) bool {
-		width += float64(db.Schema.Column(c).Type.Width())
-		return true
-	})
-
+func (qt *queryTerms) pathCost(p *Projection) float64 {
+	q := qt.q
 	prefixSel := 1.0
 	var sortCols []workload.OrderCol
 	compression := 1.0 // super-projection: unsorted, no run-length encoding
@@ -178,16 +223,11 @@ func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 		}
 	}
 
-	totalSel := 1.0
-	for _, pred := range q.Spec.Preds {
-		totalSel *= clampSel(pred.Sel)
-	}
-
-	rowsScanned := math.Max(rows*prefixSel, 1)
-	outRows := math.Max(rows*totalSel, 1)
+	rowsScanned := math.Max(qt.rows*prefixSel, 1)
+	outRows := math.Max(qt.rows*qt.totalSel, 1)
 
 	cost := fixedOverheadMs
-	cost += rowsScanned * width * compression / scanBytesPerMs
+	cost += rowsScanned * qt.width * compression / scanBytesPerMs
 
 	if len(q.Spec.GroupBy) > 0 {
 		aggCost := outRows / aggRowsPerMs
@@ -197,7 +237,7 @@ func (db *DB) pathCost(q *workload.Query, p *Projection) float64 {
 			aggCost *= 0.1
 		}
 		cost += aggCost
-		outRows = math.Min(outRows, db.groupEstimate(q.Spec.GroupBy))
+		outRows = math.Min(outRows, qt.groups)
 	}
 	if len(q.Spec.OrderBy) > 0 && !orderSatisfied(q.Spec, sortCols) {
 		cost += outRows * math.Log2(outRows+2) / sortRowFactor

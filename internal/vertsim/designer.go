@@ -38,7 +38,7 @@ func (d *Designer) Name() string { return "VerticaDBD" }
 // generate per-template and merged candidates, then greedy-select.
 func (d *Designer) Design(ctx context.Context, w *workload.Workload) (*designer.Design, error) {
 	cw := designer.CompressByTemplate(w)
-	cands := d.Candidates(cw)
+	cands := d.candidates(cw)
 	if d.DB.met != nil {
 		d.DB.met.CandidatesGenerated.Add(uint64(len(cands)))
 	}
@@ -53,11 +53,15 @@ type weightedQuery struct {
 	cols   workload.ColSet
 }
 
-// Candidates generates the candidate projection pool for a (compressed)
-// workload: one or two tailored projections per template plus merged
-// projections for strongly overlapping template pairs.
-func (d *Designer) Candidates(cw *workload.Workload) []designer.Structure {
-	cw = designer.CompressByTemplate(cw) // idempotent; callers may pass raw workloads
+// Candidates generates the candidate projection pool for a workload: one or
+// two tailored projections per template plus merged projections for strongly
+// overlapping template pairs. The workload is compressed by template first.
+func (d *Designer) Candidates(w *workload.Workload) []designer.Structure {
+	return d.candidates(designer.CompressByTemplate(w))
+}
+
+// candidates builds the pool for a workload already compressed by template.
+func (d *Designer) candidates(cw *workload.Workload) []designer.Structure {
 	var wqs []weightedQuery
 	for _, it := range cw.Items {
 		if d.DB.check(it.Q) != nil {
